@@ -413,6 +413,10 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     return mat
 
 
+def _parse_degrees(text: str) -> tuple[GroupElement, ...]:
+    return tuple(GroupElement(_parse_vector(v)) for v in text.split(";") if v.strip())
+
+
 def parse_algebra_config(text: str) -> AlgebraConfig:
     """Parse an INI-style algebra presentation; see the module comment."""
     parser = configparser.ConfigParser()
@@ -428,7 +432,7 @@ def parse_algebra_config(text: str) -> AlgebraConfig:
         degstr = parser.get("generators", "degrees")
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"incomplete config: {exc}") from exc
-    degrees = tuple(GroupElement(_parse_vector(v)) for v in degstr.split(";") if v.strip())
+    degrees = _parse_degrees(degstr)
     if len(degrees) != len(names):
         raise ConfigError(
             f"{len(names)} generators but {len(degrees)} degree vectors"

@@ -21,7 +21,13 @@ import random
 import sys
 from typing import Optional
 
-from .algcore import RootField, default_prime, parse_algebra_config
+from .algcore import (
+    RootField,
+    _parse_degrees,
+    _parse_matrix,
+    default_prime,
+    parse_algebra_config,
+)
 from .errors import FrobexError, ConfigError
 from .frobenius import (
     ell_centre_extension,
@@ -56,24 +62,6 @@ EXPECTATIONS = {
 }
 
 
-def _parse_vectors(text: str) -> tuple[GroupElement, ...]:
-    vecs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            vecs.append(GroupElement(int(v) for v in chunk.replace(",", " ").split()))
-    return tuple(vecs)
-
-
-def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            rows.append(tuple(int(v) for v in chunk.replace(",", " ").split()))
-    return tuple(rows)
-
-
 def _config_lines(params: dict) -> list[str]:
     lines = ["[config]"]
     for key in sorted(params):
@@ -95,7 +83,7 @@ def _build_qas(args) -> QuantumAffineSpace:
     n = args.n
     cmatrix = _parse_matrix(args.cmatrix) if args.cmatrix else standard_cmatrix(n)
     if args.degrees:
-        degrees = _parse_vectors(args.degrees)
+        degrees = _parse_degrees(args.degrees)
     else:
         degrees = tuple(GroupElement((1,)) for _ in range(n))
     if len(cmatrix) != n or len(degrees) != n:

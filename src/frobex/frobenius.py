@@ -18,9 +18,14 @@ mult(e) == mult(d - e) for the unique candidate shift d.
 
 Determinant strategy over S, in order: generalized-permutation structure
 (product of pivots, exact), all-scalar matrices (dense determinant mod p,
-exact), homogeneous matrices of total degree zero (the determinant is a
-scalar, so one evaluation is exact), and finally evaluation at random
-points of Max S (probabilistic, confidence reported).
+exact), homogeneous matrices of total degree zero over a subring whose
+generators all have nonzero degree (the determinant is a scalar, so one
+evaluation is exact), and finally evaluation at random points of Max S
+(probabilistic, confidence reported).
+
+The Gram matrix is built once per extension and form and shared by the
+witness search, the determinant test, the Nakayama solve and reduction at
+points; see ``CentralFreeExtension.gram``.
 """
 
 from __future__ import annotations
@@ -148,6 +153,8 @@ class CentralFreeExtension:
         self.engine = engine
         self.form = form
         self.name = name or f"ell-centre of {ambient.name}"
+        self._gram: Optional[list[list[Element]]] = None
+        self._gram_form = None  # the form object self._gram was built for
 
     @property
     def basis(self) -> tuple:
@@ -155,6 +162,36 @@ class CentralFreeExtension:
 
     def with_form(self, form) -> "CentralFreeExtension":
         return CentralFreeExtension(self.ambient, self.engine, form, self.name)
+
+    def gram(self) -> list[list[Element]]:
+        """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
+
+        The build makes one product and one form evaluation per entry; a
+        slot projection on this extension's engine reads its entry straight
+        from the product's decomposition.  Every zero entry is one shared
+        zero element, so a sparse M costs about a pointer per entry.  The
+        rows are cached and must not be changed; ``gram_matrix`` hands out
+        copies.
+        """
+        form = self.form
+        if form is None:
+            raise DomainError("extension carries no form")
+        if self._gram is None or self._gram_form is not form:
+            A = self.ambient
+            zero = A.zero()
+            if isinstance(form, ProjectionForm) and form.engine is self.engine:
+                decompose, slot = self.engine.decompose, form.slot
+
+                def phi(y):
+                    return decompose(y).slots.get(slot, zero)
+            else:
+                phi = form
+            basis = self.basis
+            self._gram = [
+                [phi(A.mul_indices(b, c)) or zero for c in basis] for b in basis
+            ]
+            self._gram_form = form
+        return self._gram
 
     def validate(self) -> None:
         """Cheap structural checks: S central and commutative on generators,
@@ -237,19 +274,9 @@ class FrobeniusCertificate:
 
 
 def gram_matrix(E: CentralFreeExtension) -> list[list[Element]]:
-    """M[i][j] = Phi(b_i * b_j), entries supported on the subring."""
-    if E.form is None:
-        raise DomainError("extension carries no form")
-    A = E.ambient
-    basis = E.basis
-    rows = []
-    for b in basis:
-        mb = A.monomial(b)
-        row = []
-        for c in basis:
-            row.append(E.form(multiply(A, mb, A.monomial(c))))
-        rows.append(row)
-    return rows
+    """M[i][j] = Phi(b_i * b_j), entries supported on the subring; a copy of
+    the extension's cached Gram matrix."""
+    return [list(row) for row in E.gram()]
 
 
 def _unit_scalar(E: CentralFreeExtension, el: Element) -> Optional[int]:
@@ -276,6 +303,52 @@ def random_point(E: CentralFreeExtension, rng: random.Random) -> tuple:
     return tuple(rng.randrange(E.ambient.field.p) for _ in range(E.engine.point_len))
 
 
+@dataclass
+class GramStructure:
+    """The shape of a Gram matrix that the exact paths read.
+
+    ``zero_line`` names the first all-zero row or column.  ``pivot_row[j]``
+    is the row of the only nonzero entry of column j when M is a
+    generalized permutation (one nonzero entry per row and column).
+    ``scalars`` is M over F_p when every nonzero entry is a unit scalar.
+    """
+
+    zero_line: Optional[str] = None
+    pivot_row: Optional[list[int]] = None
+    scalars: Optional[list[list[int]]] = None
+
+
+def _gram_structure(M: list[list[Element]], E: CentralFreeExtension) -> GramStructure:
+    n = len(M)
+    row_count = [0] * n
+    col_count = [0] * n
+    pivot_row = [0] * n
+    scalars: Optional[list] = []
+    for i, row in enumerate(M):
+        srow = [0] * n
+        for j, el in enumerate(row):
+            if el.is_zero():
+                continue
+            row_count[i] += 1
+            col_count[j] += 1
+            pivot_row[j] = i
+            if scalars is not None:
+                c = _unit_scalar(E, el)
+                if c is None:
+                    scalars = None
+                else:
+                    srow[j] = c
+        if scalars is not None:
+            scalars.append(srow)
+    for i in range(n):
+        if not row_count[i]:
+            return GramStructure(zero_line=f"zero row {i}")
+        if not col_count[i]:
+            return GramStructure(zero_line=f"zero column {i}")
+    permutation = all(c == 1 for c in row_count) and all(c == 1 for c in col_count)
+    return GramStructure(pivot_row=pivot_row if permutation else None, scalars=scalars)
+
+
 def det_is_unit(
     M: list[list[Element]],
     E: CentralFreeExtension,
@@ -292,19 +365,13 @@ def det_is_unit(
     rng = rng or random.Random(0)
     n = len(M)
     p = E.ambient.field.p
+    structure = _gram_structure(M, E)
 
-    for i in range(n):
-        if all(M[i][j].is_zero() for j in range(n)):
-            return GramStatus("singular", "structure", detail=f"zero row {i}")
-        if all(M[j][i].is_zero() for j in range(n)):
-            return GramStatus("singular", "structure", detail=f"zero column {i}")
+    if structure.zero_line is not None:
+        return GramStatus("singular", "structure", detail=structure.zero_line)
 
-    # generalized permutation: exactly one nonzero entry per row and column
-    row_support = [[j for j in range(n) if not M[i][j].is_zero()] for i in range(n)]
-    col_support = [[i for i in range(n) if not M[i][j].is_zero()] for j in range(n)]
-    if all(len(r) == 1 for r in row_support) and all(len(c) == 1 for c in col_support):
-        pivots = [M[i][row_support[i][0]] for i in range(n)]
-        if all(_unit_scalar(E, piv) is not None for piv in pivots):
+    if structure.pivot_row is not None:
+        if structure.scalars is not None:
             return GramStatus("unit-determinant", "generalized-permutation")
         return GramStatus(
             "singular",
@@ -313,24 +380,20 @@ def det_is_unit(
         )
 
     # all entries scalar: determinant over F_p is exact
-    if all(
-        M[i][j].is_zero() or _unit_scalar(E, M[i][j]) is not None
-        for i in range(n)
-        for j in range(n)
-    ):
-        scalars = [
-            [0 if M[i][j].is_zero() else _unit_scalar(E, M[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        det = fp_det(scalars, p)
-        if det:
+    if structure.scalars is not None:
+        if fp_det(structure.scalars, p):
             return GramStatus("unit-determinant", "scalar-determinant")
         return GramStatus("singular", "scalar-determinant", detail="determinant is 0")
 
     # homogeneous matrix: every expansion term of det has the same degree,
-    # so degree zero forces det into the scalars and one evaluation is exact
-    if phi_degree is not None and _gram_is_homogeneous(M, E, phi_degree):
-        A = E.ambient
+    # so degree zero forces det into the scalars and one evaluation is exact;
+    # a subring generator of degree 0 would put non-scalars in degree zero
+    A = E.ambient
+    if (
+        phi_degree is not None
+        and all(not A.degree_of(s).is_zero() for s in E.engine.subring_generators)
+        and _gram_is_homogeneous(M, E, phi_degree)
+    ):
         total = GroupElement.zero(len(phi_degree.coords))
         for b in E.basis:
             total = total + 2 * A.degree_of(b)
@@ -347,7 +410,11 @@ def det_is_unit(
             return GramStatus("unit-determinant", "evaluation-homogeneous")
         return GramStatus("singular", "evaluation-homogeneous", detail="determinant is 0")
 
-    # fallback: evaluations at random points of Max S
+    # fallback: evaluations at random points of Max S.  Differing values or
+    # a zero value prove det is not a unit (a unit is a nonzero constant).
+    # Equal nonzero values: the first point fixes the common value v, and
+    # each further point is a root of det - v, of degree <= bound, with
+    # probability <= bound/p when det != v (Schwartz-Zippel).
     bound = sum(max(_entry_poly_degree(E, M[i][j]) for j in range(n)) for i in range(n))
     values = []
     for _ in range(points):
@@ -362,12 +429,18 @@ def det_is_unit(
             "evaluation-random",
             detail="determinant is non-constant (evaluations differ)",
         )
-    value = values[0]
-    if value == 0:
+    if 0 in distinct:
         return GramStatus(
             "singular",
             "evaluation-random",
             detail=f"all {points} evaluations are 0",
+        )
+    if points < 2:
+        return GramStatus(
+            "inconclusive",
+            "evaluation-random",
+            confidence=0.0,
+            detail=f"{points} evaluation point(s) bound nothing; need at least 2",
         )
     if bound >= p:
         return GramStatus(
@@ -376,12 +449,12 @@ def det_is_unit(
             confidence=0.0,
             detail=f"degree bound {bound} >= p = {p}; enlarge the field",
         )
-    confidence = 1.0 - (bound / p) ** points
+    confidence = 1.0 - (bound / p) ** (points - 1)
     return GramStatus(
         "probabilistic-unit",
         "evaluation-random",
         confidence=confidence,
-        detail=f"failure probability <= ({bound}/{p})^{points}",
+        detail=f"failure probability <= ({bound}/{p})^{points - 1}",
     )
 
 
@@ -423,27 +496,23 @@ def mapping_degree(E: CentralFreeExtension) -> Optional[GroupElement]:
     return max(shifts, key=lambda g: g.coords)
 
 
-def _f1_search(E: CentralFreeExtension):
-    """Two-sided witness search; complement-first order for restricted bases."""
-    A = E.ambient
+def _f1_search(E: CentralFreeExtension, M: list[list[Element]]):
+    """Two-sided witness search over the Gram matrix: the right witness of
+    b is a nonzero of row b, the left one a nonzero of column b, scanned
+    complement-first for restricted bases."""
     witnesses = {}
     missing = None
     basis = E.basis
-    basis_set = set(basis)
-    for b in basis:
-        mb = A.monomial(b)
-        candidates = list(basis)
-        comp = getattr(E.engine, "complement", lambda _b: None)(b)
-        if comp is not None and comp in basis_set:
-            candidates = [comp] + [c for c in basis if c != comp]
-        right = next(
-            (c for c in candidates if not E.form(multiply(A, mb, A.monomial(c))).is_zero()),
-            None,
-        )
-        left = next(
-            (c for c in candidates if not E.form(multiply(A, A.monomial(c), mb)).is_zero()),
-            None,
-        )
+    pos = {b: i for i, b in enumerate(basis)}
+    order = range(len(basis))
+    for i, b in enumerate(basis):
+        candidates = order
+        k = pos.get(getattr(E.engine, "complement", lambda _b: None)(b))
+        if k is not None:
+            candidates = [k, *(j for j in order if j != k)]
+        row = M[i]
+        right = next((j for j in candidates if not row[j].is_zero()), None)
+        left = next((j for j in candidates if not M[j][i].is_zero()), None)
         if right is None or left is None:
             missing = {
                 "kind": "f1-witness-missing",
@@ -451,7 +520,7 @@ def _f1_search(E: CentralFreeExtension):
                 "side": "right" if right is None else "left",
             }
             break
-        witnesses[b] = (right, left)
+        witnesses[b] = (basis[right], basis[left])
     return witnesses, missing
 
 
@@ -476,8 +545,8 @@ def verify_frobenius(
     D = E.degree_multiset()
     symmetry_d = multiset_symmetry_witness(D)
     phi_degree = mapping_degree(E)
-    witnesses, missing = _f1_search(E)
     gram = gram_matrix(E)
+    witnesses, missing = _f1_search(E, gram)
     status = det_is_unit(gram, E, phi_degree, rng=rng, points=points)
 
     refutation = None
@@ -551,44 +620,33 @@ def nakayama_on_generators(
     A = E.ambient
     basis = E.basis
     n = len(basis)
-    M = gram_matrix(E)
-
-    def solve(rhs: list[Element]) -> Element:
-        row_support = [[j for j in range(n) if not M[i][j].is_zero()] for i in range(n)]
-        col_support = [[i for i in range(n) if not M[i][j].is_zero()] for j in range(n)]
-        if all(len(r) == 1 for r in row_support) and all(len(c) == 1 for c in col_support):
-            pivots = {i: M[i][row_support[i][0]] for i in range(n)}
-            if all(_unit_scalar(E, piv) is not None for piv in pivots.values()):
-                total = A.zero()
-                for j in range(n):
-                    if rhs[j].is_zero():
-                        continue
-                    i = col_support[j][0]
-                    inv = A.field.inv(_unit_scalar(E, M[i][j]))
-                    coeff = inv * rhs[j]
-                    total = total + multiply(A, coeff, A.monomial(basis[i]))
-                return total
-        scalars = [[_unit_scalar(E, M[i][j]) or 0 for j in range(n)] for i in range(n)]
-        if all(
-            M[i][j].is_zero() or _unit_scalar(E, M[i][j]) is not None
-            for i in range(n)
-            for j in range(n)
-        ):
-            inv = fp_inverse(scalars, A.field.p)
-            if inv is None:
-                raise AlgebraDefinitionError("scalar Gram matrix is singular")
-            total = A.zero()
-            for i in range(n):
-                coeff = A.zero()
-                for j in range(n):
-                    if not rhs[j].is_zero():
-                        coeff = coeff + inv[j][i] * rhs[j]
-                if not coeff.is_zero():
-                    total = total + multiply(A, coeff, A.monomial(basis[i]))
-            return total
+    structure = _gram_structure(E.gram(), E)
+    scalars = structure.scalars
+    if scalars is None:
         raise UnsupportedStructure(
             "Nakayama solve needs a generalized-permutation or scalar Gram matrix"
         )
+    # weights[j] = {i: W[j][i]}, the nonzero entries of row j of W = M^-1
+    if structure.pivot_row is not None:
+        weights = [{i: A.field.inv(scalars[i][j])} for j, i in enumerate(structure.pivot_row)]
+    else:
+        inv = fp_inverse(scalars, A.field.p)
+        if inv is None:
+            raise AlgebraDefinitionError("scalar Gram matrix is singular")
+        weights = [{i: w for i, w in enumerate(row) if w} for row in inv]
+
+    def solve(rhs: list[Element]) -> Element:
+        """sum over i of (sum over j of W[j][i] * rhs[j]) * b_i."""
+        coeffs: dict = {}
+        for j in range(n):
+            if not rhs[j].is_zero():
+                for i, w in weights[j].items():
+                    coeffs[i] = coeffs.get(i, A.zero()) + w * rhs[j]
+        total = A.zero()
+        for i, coeff in sorted(coeffs.items()):
+            if not coeff.is_zero():
+                total = total + multiply(A, coeff, A.monomial(basis[i]))
+        return total
 
     images_by_index = {}
     images = {}
@@ -597,10 +655,8 @@ def nakayama_on_generators(
         rhs = [E.form(multiply(A, A.monomial(c), mg)) for c in basis]
         nu_g = solve(rhs)
         # defining identity on the whole basis, not only where we solved
-        for c in basis:
-            lhs = E.form(multiply(A, A.monomial(c), mg))
-            rhs_val = E.form(multiply(A, nu_g, A.monomial(c)))
-            if lhs != rhs_val:
+        for c, lhs in zip(basis, rhs):
+            if lhs != E.form(multiply(A, nu_g, A.monomial(c))):
                 raise AlgebraDefinitionError(
                     f"Nakayama solve inconsistent at generator {g_name}, basis {c}"
                 )
@@ -697,22 +753,18 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
         raise DomainError(
             f"point has {len(point)} coordinates, expected {E.engine.point_len}"
         )
+    M = E.gram()
     mul_table = {}
-    pairing = []
     for b in basis:
-        mb = A.monomial(b)
-        row = []
         for c in basis:
-            prod = multiply(A, mb, A.monomial(c))
-            dec = E.engine.decompose(prod)
+            dec = E.engine.decompose(A.mul_indices(b, c))
             entry = {}
             for slot, z in dec.slots.items():
                 val = _eval_entry(E, z, point)
                 if val:
                     entry[slot] = val
             mul_table[(b, c)] = entry
-            row.append(_eval_entry(E, E.form(prod), point))
-        pairing.append(row)
+    pairing = [[_eval_entry(E, el, point) for el in row] for row in M]
     rank = fp_rank(pairing, A.field.p)
     return ReducedExtension(
         point=point,

@@ -220,6 +220,8 @@ class RestrictedBasisEngine:
             for i in range(self.width)
         )
         self.point_len = self.width
+        # index -> (r, s, 1/c) from _split; only indices that split are kept
+        self._splits: dict = {}
 
     def subring_contains(self, idx) -> bool:
         return all(e % self.ell == 0 for e in idx)
@@ -231,22 +233,29 @@ class RestrictedBasisEngine:
         return (self.ell - 1,) * self.width
 
     def decompose(self, y: Element) -> FreeDecomposition:
-        A = self.algebra
-        fld = A.field
+        fld = self.algebra.field
+        splits = self._splits
         slots: dict = {}
         for idx, c in y.terms.items():
-            r = tuple(e % self.ell for e in idx)
-            s = tuple(e - e % self.ell for e in idx)
-            prod = A.mul_indices(s, r)
-            pidx, pc = prod.single_term()
-            if pidx != idx:
-                raise DomainError(
-                    f"index {idx} does not split over the ell-centre in {A.name}"
-                )
-            z = c * fld.inv(pc)
+            split = splits.get(idx)
+            if split is None:
+                split = splits[idx] = self._split(idx)
+            r, s, inv = split
             acc = slots.setdefault(r, {})
-            acc[s] = (acc.get(s, 0) + z) % fld.p
-        return FreeDecomposition(A, {r: Element(fld, acc) for r, acc in slots.items()})
+            acc[s] = (acc.get(s, 0) + c * inv) % fld.p
+        return FreeDecomposition(self.algebra, {r: Element(fld, acc) for r, acc in slots.items()})
+
+    def _split(self, idx) -> tuple:
+        """(r, s, 1/c) with x^s * x^r = c * x^idx; raises if idx does not split."""
+        A = self.algebra
+        r = tuple(e % self.ell for e in idx)
+        s = tuple(e - e % self.ell for e in idx)
+        pidx, pc = A.mul_indices(s, r).single_term()
+        if pidx != idx:
+            raise DomainError(
+                f"index {idx} does not split over the ell-centre in {A.name}"
+            )
+        return r, s, A.field.inv(pc)
 
     def eval_index(self, idx, point) -> int:
         """Evaluate the central monomial x^idx at x_i^ell -> point[i]."""

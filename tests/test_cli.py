@@ -150,3 +150,17 @@ def test_census_config_rejects_misshapen_rule(tmp_path):
     )
     code, _ = run(tmp_path, "grassmannian-census", "--config", str(cfg))
     assert code == 2
+
+
+def test_malformed_cmatrix_exit_two(tmp_path, capsys):
+    code, text = run(tmp_path, "qas-verify", "--ell", "3", "--p", "7", "--cmatrix", "0 a; 1 0")
+    assert code == 2
+    assert "bad integer vector '0 a'" in capsys.readouterr().err
+    assert "error:" in text
+
+
+def test_malformed_degrees_exit_two(tmp_path, capsys):
+    code, text = run(tmp_path, "nakayama", "--ell", "3", "--p", "7", "--degrees", "1; 1.5")
+    assert code == 2
+    assert "bad integer vector ' 1.5'" in capsys.readouterr().err
+    assert "error:" in text

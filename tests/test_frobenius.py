@@ -1,6 +1,8 @@
 """Gram criterion, certificates, Nakayama, quotients, duals and lifts."""
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -32,6 +34,7 @@ from frobex.qas import (
     quantum_plane_of_weyl,
     quantum_weyl,
 )
+from oracles import qas_product_oracle
 
 
 def zero_cmatrix(n):
@@ -84,6 +87,96 @@ def test_gram_antidiagonal_and_unit_row():
     # unit row: M[0][c] = Phi(c)
     for j, c in enumerate(basis):
         assert M[pos[(0, 0)]][j] == ext.form(A.algebra().monomial(c))
+
+
+def counted_extension(n, ell, p):
+    """An extension whose product oracle logs every call it answers."""
+    A = make_qas(n, ell, p).algebra()
+    calls = []
+
+    def mul(i, j):
+        calls.append((i, j))
+        return A.mul_indices(i, j)
+
+    return ell_centre_extension(replace(A, mul_indices=mul), ell, validate=False), calls
+
+
+def test_gram_system_built_once():
+    n, ell = 2, 3
+    ext, calls = counted_extension(n, ell, 7)
+    basis = ext.basis
+    cert = verify_frobenius(ext)
+    M = gram_matrix(ext)
+    assert cert.verdict == "frobenius"
+    # rank^2 Gram products, plus one split x^s * x^r per distinct index
+    # b + c met by the decomposition (s = 0 for restricted indices)
+    gram_pairs = Counter((b, c) for b in basis for c in basis)
+    sums = {tuple(x + y for x, y in zip(b, c)) for b in basis for c in basis}
+    split_pairs = Counter(
+        (tuple(e - e % ell for e in idx), tuple(e % ell for e in idx)) for idx in sums
+    )
+    assert len(calls) == len(basis) ** 2 + (2 * ell - 1) ** n
+    assert Counter(calls) == gram_pairs + split_pairs
+    # repeat consumers read the same system
+    del calls[:]
+    assert verify_frobenius(ext).gram_status == cert.gram_status
+    assert gram_matrix(ext) == M
+    assert calls == []
+    # gram_matrix hands out copies
+    M[0][0] = M[0][-1]
+    M[1].clear()
+    assert gram_matrix(ext)[0][0].is_zero() and len(gram_matrix(ext)[1]) == len(basis)
+
+
+def test_new_form_gets_a_fresh_gram_system():
+    n, ell = 2, 3
+    ext, calls = counted_extension(n, ell, 7)
+    top = gram_matrix(ext)
+    low_form = ProjectionForm(ext.engine, (0,) * n)
+    low = ext.with_form(low_form)
+    del calls[:]
+    M_low = gram_matrix(low)
+    assert M_low != top
+    assert M_low[0][0] == ext.ambient.one_element()
+    # the splits are memoized on the shared engine; the products are not
+    assert len(calls) == len(ext.basis) ** 2
+    ext.form = low_form
+    assert gram_matrix(ext) == M_low
+    ext.form = ProjectionForm(ext.engine, (ell - 1,) * n)
+    assert gram_matrix(ext) == top
+
+
+def test_gram_and_reduction_tables_match_word_oracle():
+    rng = random.Random(4)
+    for _ in range(6):
+        n, ell = rng.choice(((1, 2), (2, 2), (2, 3), (3, 2)))
+        p = 7 if ell == 3 else 5
+        C = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                C[i][j] = rng.randrange(ell)
+                C[j][i] = -C[i][j]
+        A = make_qas(n, ell, p, cmatrix=C, seed=rng.randrange(100))
+        alg, fld = A.algebra(), A.field
+        ext = ell_centre_extension(alg, ell)
+        point = tuple(rng.randrange(p) for _ in range(n))
+        M = gram_matrix(ext)
+        red = reduce_at_point(ext, point)
+        top = (ell - 1,) * n
+        for i, b in enumerate(ext.basis):
+            for j, c in enumerate(ext.basis):
+                k, e = qas_product_oracle(C, ell, b, c)
+                r = tuple(x % ell for x in e)
+                s = tuple(x - x % ell for x in e)
+                k_split, _ = qas_product_oracle(C, ell, s, r)
+                coeff = fld.zeta_pow(k - k_split)  # x^b x^c = coeff * x^s x^r
+                expected = alg.monomial(s, coeff) if r == top else alg.zero()
+                assert M[i][j] == expected
+                value = coeff
+                for x, lam in zip(s, point):
+                    value = value * pow(lam, x // ell, p) % p
+                assert red.mul_table[(b, c)] == ({r: value} if value else {})
+                assert red.pairing[i][j] == (value if r == top else 0)
 
 
 def test_det_zero_row_is_singular():
@@ -437,8 +530,14 @@ def test_det_probabilistic_and_inconclusive_paths():
     status = det_is_unit(M, ext, None, rng=random.Random(0))
     assert status.kind == "probabilistic-unit"
     assert status.method == "evaluation-random"
-    assert status.confidence is not None and 0.0 < status.confidence <= 1.0
-    assert "failure probability" in status.detail
+    # degree bound 1 over F_31; 20 equal values, the first only fixes the value
+    assert status.confidence == 1.0 - (1 / 31) ** 19
+    assert status.detail == "failure probability <= (1/31)^19"
+
+    # one evaluation point bounds nothing
+    status = det_is_unit(M, ext, None, rng=random.Random(0), points=1)
+    assert status.kind == "inconclusive"
+    assert status.method == "evaluation-random"
 
     # identically vanishing determinant
     M0 = [[z, z], [z, z]]
@@ -454,3 +553,24 @@ def test_det_probabilistic_and_inconclusive_paths():
     M5 = [[one5 + big, big], [one5, one5]]
     status = det_is_unit(M5, ext5, None, rng=random.Random(0))
     assert status.kind == "inconclusive"
+
+
+def test_zero_degree_subring_generator_is_not_homogeneous_shortcut():
+    # x2 has degree 0, so x2^3 is a non-scalar of degree 0 in S and a
+    # homogeneous determinant of degree 0 need not be a scalar: here it
+    # takes the values 0, 1 and 6 over Max S
+    ell = 3
+    A = make_qas(2, ell, degrees=(GroupElement((1,)), GroupElement((0,))))
+    ext = ell_centre_extension(A.algebra(), ell)
+    top, side = ProjectionForm(ext.engine, (2, 2)), ProjectionForm(ext.engine, (2, 1))
+    bad = ext.with_form(lambda y: top(y) + side(y))
+    cert = verify_frobenius(bad, rng=random.Random(0))
+    assert cert.verdict == "not-frobenius"
+    assert cert.gram_status.kind == "singular"
+    assert cert.gram_status.method == "evaluation-random"
+    p = A.field.p
+    degenerate = [
+        lam for lam in itertools.product(range(p), repeat=2)
+        if not reduce_at_point(bad, lam).nondegenerate
+    ]
+    assert degenerate and len(degenerate) < p * p

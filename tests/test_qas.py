@@ -3,6 +3,7 @@ restricted decomposition, the top-slot form, and the q-Weyl fixture."""
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from frobex.errors import DimensionMismatch, DomainError
 from frobex.grpdeg import GroupElement
 from frobex.qas import (
     QuantumAffineSpace,
+    RestrictedBasisEngine,
     frobenius_form,
     make_qas,
     monomial_product,
@@ -120,6 +122,24 @@ def test_restricted_decompose_round_trip_random():
         }
         y = Element(alg.field, terms)
         assert restricted_decompose(A, y).reassemble() == y
+
+
+def test_decompose_split_failures_are_not_memoized():
+    A = make_qas(2, 3, 7).algebra()
+    broken = [True]
+
+    def mul(i, j):
+        if broken[0] and i == (3, 0):
+            return A.monomial((0, 3))  # x1^3 * x^r lands on the wrong index
+        return A.mul_indices(i, j)
+
+    engine = RestrictedBasisEngine(replace(A, mul_indices=mul), 3)
+    y = A.monomial((4, 1))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="does not split"):
+            engine.decompose(y)
+    broken[0] = False
+    assert engine.decompose(y).reassemble() == y
 
 
 def test_frobenius_form_examples():
