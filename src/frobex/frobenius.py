@@ -166,31 +166,28 @@ class CentralFreeExtension:
     def gram(self) -> list[list[Element]]:
         """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
 
-        The build makes one product and one form evaluation per entry; a
-        slot projection on this extension's engine reads its entry straight
-        from the product's decomposition.  Every zero entry is one shared
-        zero element, so a sparse M costs about a pointer per entry.  The
-        rows are cached and must not be changed; ``gram_matrix`` hands out
-        copies.
+        The build makes one product and one form evaluation per entry.
+        Every zero entry is one shared zero element, so a sparse M costs
+        about a pointer per entry.  The rows are cached and must not be
+        changed; ``gram_matrix`` hands out copies.
         """
         form = self.form
         if form is None:
             raise DomainError("extension carries no form")
-        if self._gram is None or self._gram_form is not form:
+        if self.built_gram() is None:
             A = self.ambient
             zero = A.zero()
-            if isinstance(form, ProjectionForm) and form.engine is self.engine:
-                decompose, slot = self.engine.decompose, form.slot
-
-                def phi(y):
-                    return decompose(y).slots.get(slot, zero)
-            else:
-                phi = form
             basis = self.basis
             self._gram = [
-                [phi(A.mul_indices(b, c)) or zero for c in basis] for b in basis
+                [form(A.mul_indices(b, c)) or zero for c in basis] for b in basis
             ]
             self._gram_form = form
+        return self._gram
+
+    def built_gram(self) -> Optional[list[list[Element]]]:
+        """The cached Gram matrix of the current form, or None if not built."""
+        if self._gram is None or self._gram_form is not self.form:
+            return None
         return self._gram
 
     def validate(self) -> None:
@@ -545,7 +542,7 @@ def verify_frobenius(
     D = E.degree_multiset()
     symmetry_d = multiset_symmetry_witness(D)
     phi_degree = mapping_degree(E)
-    gram = gram_matrix(E)
+    gram = E.gram()
     witnesses, missing = _f1_search(E, gram)
     status = det_is_unit(gram, E, phi_degree, rng=rng, points=points)
 
@@ -753,18 +750,26 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
         raise DomainError(
             f"point has {len(point)} coordinates, expected {E.engine.point_len}"
         )
-    M = E.gram()
+    if E.form is None:
+        raise DomainError("extension carries no form")
+    # the pairing is read from the Gram matrix when it is built already,
+    # else the form is evaluated on the products made for mul_table
+    M = E.built_gram()
     mul_table = {}
-    for b in basis:
-        for c in basis:
-            dec = E.engine.decompose(A.mul_indices(b, c))
+    pairing = []
+    for i, b in enumerate(basis):
+        row = []
+        for j, c in enumerate(basis):
+            prod = A.mul_indices(b, c)
+            dec = E.engine.decompose(prod)
             entry = {}
             for slot, z in dec.slots.items():
                 val = _eval_entry(E, z, point)
                 if val:
                     entry[slot] = val
             mul_table[(b, c)] = entry
-    pairing = [[_eval_entry(E, el, point) for el in row] for row in M]
+            row.append(_eval_entry(E, E.form(prod) if M is None else M[i][j], point))
+        pairing.append(row)
     rank = fp_rank(pairing, A.field.p)
     return ReducedExtension(
         point=point,

@@ -146,6 +146,21 @@ def test_new_form_gets_a_fresh_gram_system():
     assert gram_matrix(ext) == top
 
 
+def test_reduce_at_point_makes_one_product_per_entry():
+    n, ell = 2, 3
+    ext, calls = counted_extension(n, ell, 7)
+    rank = len(ext.basis)
+    point = (2, 5)
+    red = reduce_at_point(ext, point)
+    # rank^2 products plus one split per distinct index; no Gram build
+    assert len(calls) == rank**2 + (2 * ell - 1) ** n
+    assert ext.built_gram() is None
+    gram_matrix(ext)
+    del calls[:]
+    assert reduce_at_point(ext, point).pairing == red.pairing
+    assert len(calls) == rank**2
+
+
 def test_gram_and_reduction_tables_match_word_oracle():
     rng = random.Random(4)
     for _ in range(6):
@@ -160,8 +175,12 @@ def test_gram_and_reduction_tables_match_word_oracle():
         alg, fld = A.algebra(), A.field
         ext = ell_centre_extension(alg, ell)
         point = tuple(rng.randrange(p) for _ in range(n))
+        # the pairing from the form (cache empty) and from the cached M
+        red_fresh = reduce_at_point(ext, point)
         M = gram_matrix(ext)
         red = reduce_at_point(ext, point)
+        assert red_fresh.pairing == red.pairing
+        assert red_fresh.mul_table == red.mul_table
         top = (ell - 1,) * n
         for i, b in enumerate(ext.basis):
             for j, c in enumerate(ext.basis):
