@@ -542,7 +542,10 @@ def verify_frobenius(
     D = E.degree_multiset()
     symmetry_d = multiset_symmetry_witness(D)
     phi_degree = mapping_degree(E)
-    gram = E.gram()
+    # through the public accessor: verdictbench's tracer sees a job's Gram
+    # build, and its rank, at the gram_matrix boundary; the copy is rank^2
+    # pointers
+    gram = gram_matrix(E)
     witnesses, missing = _f1_search(E, gram)
     status = det_is_unit(gram, E, phi_degree, rng=rng, points=points)
 
