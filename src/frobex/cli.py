@@ -195,7 +195,7 @@ def run_qweyl_transfer(args) -> tuple[str, list[str]]:
 def run_rees_demo(args) -> tuple[str, list[str]]:
     W = quantum_weyl(args.ell, args.p, seed=args.seed)
     ext = ell_centre_extension(W, args.ell)
-    window = GroupElement((args.window,)) if args.window else None
+    window = GroupElement((args.window,)) if args.window is not None else None
     RA, rext = rees_extension(ext, window=window)
     rng = random.Random(args.seed)
     cert = verify_frobenius(rext, rng=rng)

@@ -124,19 +124,24 @@ class ProjectionForm:
     quantum affine space form is the projection onto the top restricted
     slot, and filtered lifts reuse the same slot against the filtered
     decomposition (the lift recipe is literally 'same slot, new engine').
+    The dual basis functional of basis element b is the projection onto
+    slot b with degree -deg(b); other forms leave the degree as None.
     """
 
-    __slots__ = ("engine", "slot")
+    __slots__ = ("engine", "slot", "degree")
 
-    def __init__(self, engine, slot):
+    def __init__(self, engine, slot, degree: Optional[GroupElement] = None):
         self.engine = engine
         self.slot = slot
+        self.degree = degree
 
     def __call__(self, y: Element) -> Element:
         return self.engine.decompose(y).slot(self.slot)
 
     def __repr__(self):
-        return f"ProjectionForm(slot={self.slot})"
+        if self.degree is None:
+            return f"ProjectionForm(slot={self.slot})"
+        return f"ProjectionForm(slot={self.slot}, degree={self.degree})"
 
 
 class CentralFreeExtension:
@@ -790,28 +795,9 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
 # ---------------------------------------------------------------------------
 
 
-class DualFunctional:
-    """Coordinate projection onto one basis slot, of degree -deg(b)."""
-
-    __slots__ = ("engine", "slot", "degree")
-
-    def __init__(self, engine, slot, degree: GroupElement):
-        self.engine = engine
-        self.slot = slot
-        self.degree = degree
-
-    def __call__(self, y: Element) -> Element:
-        return self.engine.decompose(y).slot(self.slot)
-
-    def __repr__(self):
-        return f"DualFunctional(slot={self.slot}, degree={self.degree})"
-
-
-def dual_basis(E: CentralFreeExtension) -> tuple[DualFunctional, ...]:
+def dual_basis(E: CentralFreeExtension) -> tuple[ProjectionForm, ...]:
     A = E.ambient
-    return tuple(
-        DualFunctional(E.engine, b, -A.degree_of(b)) for b in E.basis
-    )
+    return tuple(ProjectionForm(E.engine, b, -A.degree_of(b)) for b in E.basis)
 
 
 def check_same_products(A1: BasedAlgebra, A2: BasedAlgebra, indices) -> None:
@@ -864,7 +850,8 @@ def lift_form(
         return graded_ext.form
     if not isinstance(graded_ext.form, ProjectionForm):
         raise UnsupportedStructure("can only lift slot-projection forms")
-    return ProjectionForm(E_filtered.engine, graded_ext.form.slot)
+    form = graded_ext.form
+    return ProjectionForm(E_filtered.engine, form.slot, form.degree)
 
 
 class TopComponentForm:

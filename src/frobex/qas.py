@@ -325,11 +325,17 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
     x^b y = q^b y x^b + [b]_q x^(b-1), which follows from the defining
     relation by induction and is cross-checked against a word-rewriting
     oracle in the tests.
+
+    The normal-ordered expansion of x^b * y^a and the degree of each index
+    are memoized in dicts owned by this one algebra object, so a product
+    only shifts cached terms; nothing is shared between algebras.
     """
     if ell < 2:
         raise DomainError("the q-Weyl fixture needs ell >= 2")
     fld = RootField(p if p is not None else default_prime(ell), ell, seed=seed)
     qint_cache: dict = {}
+    expansions: dict = {}  # b -> [terms of x^b * y^a for a = 0, 1, ...]
+    degrees: dict = {}  # index -> GroupElement of its total degree
 
     def qint(k: int) -> int:
         if k not in qint_cache:
@@ -347,13 +353,25 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
                 out[(a, b - 1)] = (out.get((a, b - 1), 0) + low) % fld.p
         return out
 
+    def expand(b, a) -> dict:
+        """Normal-ordered x^b * y^a, extending the cached chain for b."""
+        chain = expansions.get(b)
+        if chain is None:
+            chain = expansions[b] = [{(0, b): 1}]
+        while len(chain) <= a:
+            chain.append(rmul_y(chain[-1]))
+        return chain[a]
+
     def mul(i, j):
         (a1, b1), (a2, b2) = i, j
-        terms = {(0, b1): 1}
-        for _ in range(a2):
-            terms = rmul_y(terms)
-        shifted = {(a1 + a, b + b2): c for (a, b), c in terms.items()}
+        shifted = {(a1 + a, b + b2): c for (a, b), c in expand(b1, a2).items()}
         return Element(fld, shifted)
+
+    def degree_of(idx) -> GroupElement:
+        g = degrees.get(idx)
+        if g is None:
+            g = degrees[idx] = GroupElement((idx[0] + idx[1],))
+        return g
 
     def index_str(idx):
         a, b = idx
@@ -376,7 +394,7 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
         field=fld,
         mode="filtered",
         one=(0, 0),
-        degree_of=lambda idx: GroupElement((idx[0] + idx[1],)),
+        degree_of=degree_of,
         mul_indices=mul,
         index_str=index_str,
         generator_indices=((1, 0), (0, 1)),

@@ -17,7 +17,9 @@ the integers); the algebra construction itself works for any Z^n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Optional
 
 from .algcore import BasedAlgebra, Element, gr_of, multiply
@@ -117,8 +119,7 @@ class ConeReduction:
         """
         b, g = idx
         if self.scalar == 0:
-            excess = g - self.rees.base.degree_of(b)
-            return (b, 1) if excess.is_zero() else None
+            return (b, 1) if g == self.rees.base.degree_of(b) else None
         if self.scalar == 1:
             return (b, 1)
         if len(g) != 1:
@@ -166,6 +167,11 @@ def check_reduction_tables(RA: ReesAlgebra, which, window: Optional[GroupElement
     """Exhaustively verify within the window that a cone reduction is an
     algebra map whose structure constants match the target's table.
 
+    Checks every admissible pair (u, v) with deg u + deg v <= window, in
+    the order u, then v, of ``enumerate_admissible``; since that order
+    ascends in cone degree, the partners of u of degree g are a prefix of
+    it, and only that prefix is visited.
+
     Accepts 'm0', 'm1' or a ConeReduction."""
     window = window or RA.window
     red = which if isinstance(which, ConeReduction) else reduce_canonical(RA, which)
@@ -175,10 +181,11 @@ def check_reduction_tables(RA: ReesAlgebra, which, window: Optional[GroupElement
         raise DomainError(f"{red.scalar} reduction does not send unit to unit")
     indices = list(enumerate_admissible(RA, window))
     limit = window.coords[0]
+    # ends[h] = number of indices of cone degree <= h
+    counts = Counter(g.coords[0] for _, g in indices)
+    ends = list(accumulate(counts[h] for h in range(limit + 1)))
     for u in indices:
-        for v in indices:
-            if u[1].coords[0] + v[1].coords[0] > limit:
-                continue
+        for v in indices[: ends[limit - u[1].coords[0]]]:
             lhs = red.map_element(RAlg.mul_indices(u, v))
             rhs = multiply(tgt, red.map_monomial(u), red.map_monomial(v))
             if lhs != rhs:

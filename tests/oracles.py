@@ -58,24 +58,29 @@ def qweyl_word_oracle(fld: RootField, word) -> dict:
     """Expand a word in x, y using x*y -> q*y*x + 1, one redex at a time.
 
     Returns the normal-ordered dictionary {(a, b): coeff} meaning
-    sum of coeff * y^a x^b.  Exponential in the number of inversions,
-    fine at test sizes.
+    sum of coeff * y^a x^b.  The leftmost redex is rewritten first, and the
+    normal form of every word met is kept for the length of one call, so a
+    product of monomials costs polynomial, not exponential, time.
     """
-    result: dict = {}
-    stack = [(1, tuple(word))]
-    while stack:
-        coeff, w = stack.pop()
+    memo: dict = {}
+
+    def normal_form(w) -> dict:
+        if w in memo:
+            return memo[w]
         pos = next((i for i in range(len(w) - 1) if w[i] == 1 and w[i + 1] == 0), None)
         if pos is None:
             a = sum(1 for letter in w if letter == 0)
-            b = len(w) - a
-            result[(a, b)] = (result.get((a, b), 0) + coeff) % fld.p
-            continue
-        swapped = w[:pos] + (0, 1) + w[pos + 2:]
-        dropped = w[:pos] + w[pos + 2:]
-        stack.append((coeff * fld.zeta % fld.p, swapped))
-        stack.append((coeff, dropped))
-    return {k: v for k, v in result.items() if v}
+            result = {(a, len(w) - a): 1}
+        else:
+            swapped = w[:pos] + (0, 1) + w[pos + 2:]
+            dropped = w[:pos] + w[pos + 2:]
+            result = {k: c * fld.zeta % fld.p for k, c in normal_form(swapped).items()}
+            for k, c in normal_form(dropped).items():
+                result[k] = (result.get(k, 0) + c) % fld.p
+        memo[w] = result
+        return result
+
+    return {k: v for k, v in normal_form(tuple(word)).items() if v}
 
 
 def qweyl_product_oracle(fld: RootField, i, j) -> Element:

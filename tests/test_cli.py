@@ -91,6 +91,13 @@ def test_rees_demo_and_nakayama(tmp_path):
     assert "nakayama_checked_pairs: 200" in text
 
 
+def test_rees_demo_window_zero_is_honoured(tmp_path):
+    code, text = run(tmp_path, "rees-demo", "--ell", "2", "--window", "0")
+    assert code == 0
+    assert "window: 0\n" in text
+    assert "m0_table: match" in text
+
+
 def test_nakayama_trivial_for_commutative(tmp_path):
     code, text = run(
         tmp_path, "nakayama", "--ell", "3", "--p", "7", "--cmatrix", "0 0; 0 0"

@@ -235,6 +235,31 @@ def test_qweyl_matches_word_oracle():
         assert got == want
 
 
+@pytest.mark.parametrize("ell", [3, 4])
+def test_qweyl_cached_products_match_word_oracle(ell):
+    # every product landing in the window 3 * top, top = deg y^(ell-1) x^(ell-1);
+    # the reversed second pass is served from the expansion cache
+    W = quantum_weyl(ell)
+    window = 3 * 2 * (ell - 1)
+    indices = list(W.enumerate_up_to(GroupElement((window,))))
+    pairs = [(i, j) for i in indices for j in indices if sum(i) + sum(j) <= window]
+    want = {pair: qweyl_product_oracle(W.field, *pair) for pair in pairs}
+    for pair in pairs + pairs[::-1]:
+        assert W.mul_indices(*pair) == want[pair], pair
+    for idx in indices:
+        assert W.degree_of(idx) == GroupElement((idx[0] + idx[1],))
+        assert W.degree_of(idx) is W.degree_of(idx)
+
+
+def test_qweyl_caches_belong_to_one_algebra():
+    # the same expansions over two fields: nothing cached carries over
+    algebras = [quantum_weyl(3, 7), quantum_weyl(3, 13)]
+    for W in algebras + algebras[::-1]:
+        for a1, b1, a2, b2 in itertools.product(range(4), repeat=4):
+            got = W.mul_indices((a1, b1), (a2, b2))
+            assert got == qweyl_product_oracle(W.field, (a1, b1), (a2, b2))
+
+
 @pytest.mark.parametrize("ell,p", [(2, 5), (3, 7), (5, 11)])
 def test_qweyl_centrality_probe(ell, p):
     # x^ell and y^ell commute with both generators; verified, not assumed

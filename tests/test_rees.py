@@ -1,15 +1,18 @@
 """Rees algebras: admissibility, canonical reductions, transported forms."""
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
-from frobex.algcore import Element, gr_of
+from frobex.algcore import Element, gr_of, multiply
 from frobex.errors import DomainError, UnsupportedStructure
 from frobex.frobenius import ell_centre_extension, verify_frobenius
 from frobex.grpdeg import GroupElement
 from frobex.qas import quantum_weyl
 from frobex.rees import (
+    ConeReduction,
     check_cone_freeness,
     check_reduction_tables,
     enumerate_admissible,
@@ -81,6 +84,66 @@ def test_cone_freeness_spot_check(rees3):
 def test_reduction_tables_match(rees3):
     check_reduction_tables(rees3, "m0", g1(6))
     check_reduction_tables(rees3, "m1", g1(6))
+
+
+def admissible_in_order(window):
+    # (b, g) with deg b <= g <= window, by g, then y-exponent, then x-exponent
+    return [
+        ((a, b), g1(g))
+        for g in range(window + 1)
+        for a in range(g + 1)
+        for b in range(g + 1 - a)
+    ]
+
+
+def counted_rees(RA):
+    calls = []
+    oracle = RA.algebra.mul_indices
+
+    def mul(u, v):
+        calls.append((u, v))
+        return oracle(u, v)
+
+    return replace(RA, algebra=replace(RA.algebra, mul_indices=mul)), calls
+
+
+def test_reduction_tables_visit_only_in_window_pairs(rees3):
+    window = 6
+    adm = admissible_in_order(window)
+    in_window = [(u, v) for u in adm for v in adm if u[1].coords[0] + v[1].coords[0] <= window]
+    RA, calls = counted_rees(rees3)
+    for which in ("m0", "m1"):
+        del calls[:]
+        check_reduction_tables(RA, which, g1(window))
+        assert len(calls) == len(in_window)
+        assert calls == in_window
+
+
+def test_reduction_tables_name_first_failing_pair(rees3, weyl3):
+    # a target table wrong on one base pair whose degrees sum to the window:
+    # the only failing Rees pair has cone degrees adding up to the window
+    window = 7
+    bad = ((0, 4), (3, 0))
+
+    def mul(b, c):
+        prod = weyl3.mul_indices(b, c)
+        return prod + weyl3.one_element() if (b, c) == bad else prod
+
+    red = ConeReduction(rees=rees3, scalar=1, target=replace(weyl3, mul_indices=mul))
+    RAlg = rees3.algebra
+    adm = admissible_in_order(window)
+    failing = [
+        (u, v)
+        for u in adm
+        for v in adm
+        if u[1].coords[0] + v[1].coords[0] <= window
+        and red.map_element(RAlg.mul_indices(u, v))
+        != multiply(red.target, red.map_monomial(u), red.map_monomial(v))
+    ]
+    assert failing == [((bad[0], g1(4)), (bad[1], g1(3)))]
+    named = re.escape("not multiplicative at {}, {}".format(*failing[0]))
+    with pytest.raises(DomainError, match=named + "$"):
+        check_reduction_tables(rees3, red, g1(window))
 
 
 def test_reduction_maps_unit_to_unit(rees3, weyl3):
