@@ -6,7 +6,8 @@ plus blocks) that embeds the full resolved configuration, and exits with
 
     0   the verdict matches the command's expectation,
     1   the pipeline ran but the verdict does not match,
-    2   input error (bad flags, bad config file, failed preconditions).
+    2   input error (bad flags, bad config file, failed preconditions,
+        a report path that cannot be written).
 
 A config file (--config, INI format as documented in algcore) overrides
 flags; the FROBEX_SEED environment variable overrides the seed.  Reports
@@ -370,8 +371,12 @@ def main(argv: Optional[list] = None) -> int:
 
     out = args.out or f"frobex-{args.command}.txt"
     text = "\n".join(lines) + "\n"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"frobex: input error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     expected = EXPECTATIONS[args.command]
     print(f"frobex: {args.command}: {outcome} (report: {out})")
     return 0 if outcome == expected else 1

@@ -50,66 +50,60 @@ from .qas import RestrictedBasisEngine
 # ---------------------------------------------------------------------------
 
 
-def fp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of a dense matrix over F_p by Gaussian elimination."""
-    A = [[x % p for x in row] for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
+def _gauss_jordan(rows: list[list[int]], p: int, inverse: bool = False):
+    """Eliminate a dense matrix over F_p; returns (rank, det, inv).
+
+    ``det`` is the determinant of a square matrix (0 when it is singular).
+    With ``inverse`` the identity rides along and is reduced as well, so
+    ``inv`` is the inverse of an invertible square matrix, else None;
+    without it only the rows below each pivot are cleared, which is all
+    rank and det need.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    A = [
+        [x % p for x in row] + ([int(i == j) for j in range(m)] if inverse else [])
+        for i, row in enumerate(rows)
+    ]
     r = 0
+    det = 1
     for c in range(n):
         pivot = next((i for i in range(r, m) if A[i][c]), None)
         if pivot is None:
+            det = 0
             continue
-        A[r], A[pivot] = A[pivot], A[r]
+        if pivot != r:
+            A[r], A[pivot] = A[pivot], A[r]
+            det = -det
+        det = det * A[r][c] % p
         inv = pow(A[r][c], -1, p)
         A[r] = [x * inv % p for x in A[r]]
-        for i in range(m):
+        for i in range(0 if inverse else r + 1, m):
             if i != r and A[i][c]:
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         r += 1
         if r == m:
             break
-    return r
+    if r < n:
+        det = 0
+    full = inverse and r == m == n
+    return r, det % p, [row[n:] for row in A] if full else None
+
+
+def fp_rank(rows: list[list[int]], p: int) -> int:
+    """Rank of a dense matrix over F_p."""
+    return _gauss_jordan(rows, p)[0]
 
 
 def fp_det(rows: list[list[int]], p: int) -> int:
-    A = [[x % p for x in row] for row in rows]
-    n = len(A)
-    det = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if A[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            A[c], A[pivot] = A[pivot], A[c]
-            det = -det % p
-        det = det * A[c][c] % p
-        inv = pow(A[c][c], -1, p)
-        for i in range(c + 1, n):
-            if A[i][c]:
-                f = A[i][c] * inv % p
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[c])]
-    return det % p
+    """Determinant of a square matrix over F_p."""
+    return _gauss_jordan(rows, p)[1]
 
 
 def fp_inverse(rows: list[list[int]], p: int) -> Optional[list[list[int]]]:
-    n = len(rows)
-    A = [[x % p for x in row] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if A[i][c]), None)
-        if pivot is None:
-            return None
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        r += 1
-    return [row[n:] for row in A]
+    """Inverse of a square matrix over F_p, or None when it is singular."""
+    return _gauss_jordan(rows, p, inverse=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +154,7 @@ class CentralFreeExtension:
         self.name = name or f"ell-centre of {ambient.name}"
         self._gram: Optional[list[list[Element]]] = None
         self._gram_form = None  # the form object self._gram was built for
+        self._table: Optional[list[list[tuple]]] = None
 
     @property
     def basis(self) -> tuple:
@@ -171,7 +166,11 @@ class CentralFreeExtension:
     def gram(self) -> list[list[Element]]:
         """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
 
-        The build makes one product and one form evaluation per entry.
+        The build makes one product per entry and decomposes it once; the
+        decompositions are kept as the product table (see
+        ``product_table``).  For a ``ProjectionForm`` over this engine the
+        entry is the form's slot of that decomposition, which is what the
+        form itself computes; any other form is called on the product.
         Every zero entry is one shared zero element, so a sparse M costs
         about a pointer per entry.  The rows are cached and must not be
         changed; ``gram_matrix`` hands out copies.
@@ -179,21 +178,41 @@ class CentralFreeExtension:
         form = self.form
         if form is None:
             raise DomainError("extension carries no form")
-        if self.built_gram() is None:
+        if self._gram is None or self._gram_form is not form:
             A = self.ambient
+            engine = self.engine
             zero = A.zero()
             basis = self.basis
-            self._gram = [
-                [form(A.mul_indices(b, c)) or zero for c in basis] for b in basis
-            ]
-            self._gram_form = form
+            projection = isinstance(form, ProjectionForm) and form.engine is engine
+            gram, table = [], []
+            shared: dict = {}  # equal table entries are one tuple
+            for b in basis:
+                row, trow = [], []
+                for c in basis:
+                    prod = A.mul_indices(b, c)
+                    slots = engine.decompose(prod).slots
+                    terms: list = []
+                    for r, z in slots.items():
+                        for s, v in z.terms.items():
+                            terms += (r, s, v)
+                    flat = tuple(terms)
+                    trow.append(shared.setdefault(flat, flat))
+                    row.append(slots.get(form.slot, zero) if projection else form(prod) or zero)
+                gram.append(row)
+                table.append(trow)
+            self._gram, self._table, self._gram_form = gram, table, form
         return self._gram
 
-    def built_gram(self) -> Optional[list[list[Element]]]:
-        """The cached Gram matrix of the current form, or None if not built."""
-        if self._gram is None or self._gram_form is not self.form:
-            return None
-        return self._gram
+    def product_table(self) -> list[list[tuple]]:
+        """The free decompositions of the basis products, built with M.
+
+        Entry [i][j] lists b_i * b_j = sum of v * x^s * x^r as one flat
+        tuple (r, s, v, r, s, v, ...), one triple per slot term, holding
+        the engine's own index tuples; equal entries are one tuple.  It
+        does not depend on the form.
+        """
+        self.gram()
+        return self._table
 
     def validate(self) -> None:
         """Cheap structural checks: S central and commutative on generators,
@@ -758,27 +777,30 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
         raise DomainError(
             f"point has {len(point)} coordinates, expected {E.engine.point_len}"
         )
-    if E.form is None:
-        raise DomainError("extension carries no form")
-    # the pairing is read from the Gram matrix when it is built already,
-    # else the form is evaluated on the products made for mul_table
-    M = E.built_gram()
+    # both tables come from the Gram system, built here if need be, and
+    # each central index is evaluated once
+    M = E.gram()
+    p = A.field.p
+    values: dict = {}
+
+    def value(s) -> int:
+        v = values.get(s)
+        if v is None:
+            v = values[s] = E.engine.eval_index(s, point)
+        return v
+
     mul_table = {}
-    pairing = []
-    for i, b in enumerate(basis):
-        row = []
-        for j, c in enumerate(basis):
-            prod = A.mul_indices(b, c)
-            dec = E.engine.decompose(prod)
-            entry = {}
-            for slot, z in dec.slots.items():
-                val = _eval_entry(E, z, point)
-                if val:
-                    entry[slot] = val
-            mul_table[(b, c)] = entry
-            row.append(_eval_entry(E, E.form(prod) if M is None else M[i][j], point))
-        pairing.append(row)
-    rank = fp_rank(pairing, A.field.p)
+    for b, trow in zip(basis, E.product_table()):
+        for c, flat in zip(basis, trow):
+            entry: dict = {}
+            it = iter(flat)
+            for r, s, v in zip(it, it, it):
+                entry[r] = (entry.get(r, 0) + v * value(s)) % p
+            mul_table[(b, c)] = {r: v for r, v in entry.items() if v}
+    pairing = [
+        [sum(v * value(s) for s, v in el.terms.items()) % p for el in row] for row in M
+    ]
+    rank = fp_rank(pairing, p)
     return ReducedExtension(
         point=point,
         basis=basis,

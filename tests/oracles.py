@@ -4,6 +4,8 @@ The product oracles work on words in the free algebra and apply single
 adjacent rewrite steps until a normal form is reached; the Gr(2,4) counts
 come from Hilbert series.  None of it shares code with the package's
 closed-form normal-ordering rules or enumerations; that is the point.
+The Gram determinant oracle expands det over S permutation by permutation
+instead of reading the structure the package's determinant paths use.
 """
 
 import itertools
@@ -51,6 +53,68 @@ def qas_product_oracle(cmatrix, ell, a, b):
     word = exps_to_word(a) + exps_to_word(b)
     exponent, sorted_word = sort_word_oracle(cmatrix, word)
     return exponent % ell, word_to_exps(sorted_word, n)
+
+
+
+def qas_gram_oracle(cmatrix, ell, zeta, p, weights):
+    """Gram matrix over S of the form sum over r of weights[r] * (slot r).
+
+    S is the polynomial ring in y_i = x_i^ell (central monomials multiply
+    with scalar 1).  Entry (b, c) is {s: coeff}, meaning coeff * y^s, where
+    x^b x^c = coeff' * x^(ell s) x^r and coeff = weights[r] * coeff'.
+    """
+    n = len(cmatrix)
+    basis = list(itertools.product(range(ell), repeat=n))
+    rows = []
+    for b in basis:
+        row = []
+        for c in basis:
+            k, e = qas_product_oracle(cmatrix, ell, b, c)
+            r = tuple(x % ell for x in e)
+            s = tuple(x // ell for x in e)
+            k_split, _ = qas_product_oracle(cmatrix, ell, tuple(ell * x for x in s), r)
+            coeff = weights.get(r, 0) * pow(zeta, (k - k_split) % ell, p) % p
+            row.append({s: coeff} if coeff else {})
+        rows.append(row)
+    return rows
+
+
+def det_over_s_oracle(M, p, nvars):
+    """det M over F_p[y_1..y_nvars] by the permutation expansion.
+
+    Entries are polynomials {exponent tuple: coeff}.  Every permutation is
+    walked row by row with its sign from the inversions met so far; a
+    branch stops at a zero entry, which only drops zero terms.  Ranks <= 9.
+    """
+    n = len(M)
+    assert n <= 9, "the permutation expansion is for ranks <= 9"
+    det: dict = {}
+
+    def times(f, g):
+        out: dict = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = (out.get(e, 0) + c1 * c2) % p
+        return out
+
+    def expand(i, used, sign, term):
+        if i == n:
+            for e, c in term.items():
+                det[e] = (det.get(e, 0) + sign * c) % p
+            return
+        for j in range(n):
+            if j not in used and M[i][j]:
+                flips = sum(1 for k in used if k > j)
+                expand(i + 1, used | {j}, -sign if flips % 2 else sign, times(term, M[i][j]))
+
+    expand(0, frozenset(), 1, {(0,) * nvars: 1})
+    return {e: c for e, c in det.items() if c}
+
+
+def is_unit_oracle(poly, nvars):
+    """Units of a polynomial ring over a field are the nonzero constants."""
+    return list(poly) == [(0,) * nvars]
 
 
 # letters for the q-Weyl oracle: 0 = y, 1 = x; normal order is all y first

@@ -171,3 +171,13 @@ def test_malformed_degrees_exit_two(tmp_path, capsys):
     assert code == 2
     assert "bad integer vector ' 1.5'" in capsys.readouterr().err
     assert "error:" in text
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.txt"
+    code = main(["qas-verify", "--n", "2", "--ell", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frobex: input error: cannot write report: ")
+    assert str(out) in err
+    assert not out.exists()

@@ -6,6 +6,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from frobex.algcore import filtered_degree, multiply
 from frobex.errors import DomainError, HomogeneityError, UnsupportedStructure
@@ -34,7 +36,12 @@ from frobex.qas import (
     quantum_plane_of_weyl,
     quantum_weyl,
 )
-from oracles import qas_product_oracle
+from oracles import (
+    det_over_s_oracle,
+    is_unit_oracle,
+    qas_gram_oracle,
+    qas_product_oracle,
+)
 
 
 def zero_cmatrix(n):
@@ -148,17 +155,49 @@ def test_new_form_gets_a_fresh_gram_system():
 
 def test_reduce_at_point_makes_one_product_per_entry():
     n, ell = 2, 3
-    ext, calls = counted_extension(n, ell, 7)
-    rank = len(ext.basis)
     point = (2, 5)
-    red = reduce_at_point(ext, point)
-    # rank^2 products plus one split per distinct index; no Gram build
-    assert len(calls) == rank**2 + (2 * ell - 1) ** n
-    assert ext.built_gram() is None
-    gram_matrix(ext)
-    del calls[:]
-    assert reduce_at_point(ext, point).pairing == red.pairing
-    assert len(calls) == rank**2
+    reduce = lambda ext: reduce_at_point(ext, point)
+    for first, second in ((reduce, verify_frobenius), (verify_frobenius, reduce)):
+        ext, calls = counted_extension(n, ell, 7)
+        rank = len(ext.basis)
+        first(ext)
+        # rank^2 products plus one split per distinct index, in either order
+        assert len(calls) == rank**2 + (2 * ell - 1) ** n
+        del calls[:]
+        second(ext)
+        assert calls == []
+        assert reduce(ext).nondegenerate
+        assert calls == []
+
+
+def test_product_table_matches_fresh_decompositions_and_word_oracle():
+    rng = random.Random(9)
+    for n, ell, p in ((1, 2, 5), (2, 3, 7), (3, 2, 5)):
+        C = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                C[i][j] = rng.randrange(ell)
+                C[j][i] = -C[i][j]
+        A = make_qas(n, ell, p, cmatrix=C)
+        alg, fld = A.algebra(), A.field
+        ext = ell_centre_extension(alg, ell)
+        table = ext.product_table()
+        for b, trow in zip(ext.basis, table):
+            for c, flat in zip(ext.basis, trow):
+                dec = ext.engine.decompose(alg.mul_indices(b, c))
+                it = iter(flat)
+                triples = list(zip(it, it, it))
+                assert len(flat) == 3 * len(triples)
+                assert {r: {s: v} for r, s, v in triples} == {
+                    r: z.terms for r, z in dec.slots.items()
+                }
+                # the engine's own index tuples, not copies
+                assert all(r is next(iter(dec.slots)) for r, _, _ in triples)
+                k, e = qas_product_oracle(C, ell, b, c)
+                r = tuple(x % ell for x in e)
+                s = tuple(x - x % ell for x in e)
+                k_split, _ = qas_product_oracle(C, ell, s, r)
+                assert triples == [(r, s, fld.zeta_pow(k - k_split))]
 
 
 def test_gram_and_reduction_tables_match_word_oracle():
@@ -593,3 +632,102 @@ def test_zero_degree_subring_generator_is_not_homogeneous_shortcut():
         if not reduce_at_point(bad, lam).nondegenerate
     ]
     assert degenerate and len(degenerate) < p * p
+
+
+class SlotSum:
+    """Phi = sum over r of weights[r] * (projection onto slot r)."""
+
+    def __init__(self, ext, weights):
+        self.slots = [(ProjectionForm(ext.engine, r), w) for r, w in weights.items()]
+        self.zero = ext.ambient.zero()
+
+    def __call__(self, y):
+        total = self.zero
+        for proj, w in self.slots:
+            total = total + w * proj(y)
+        return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 2, 5), (1, 3, 7), (1, 7, 29), (2, 2, 5), (2, 2, 13),
+                           (2, 3, 7), (2, 3, 19), (3, 2, 5), (3, 2, 11)]),
+    dim=st.integers(1, 2),
+    data=st.data(),
+)
+def test_det_is_unit_agrees_with_exact_oracle(shape, dim, data):
+    n, ell, p = shape
+    draw = data.draw
+    coords = st.tuples(*[st.integers(0, 2)] * dim)
+    degrees = tuple(GroupElement(draw(coords)) for _ in range(n))
+    assume(any(not d.is_zero() for d in degrees))  # the algebra needs one
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            C[i][j] = draw(st.integers(0, ell - 1))
+            C[j][i] = -C[i][j]
+    slots = st.tuples(*[st.integers(0, ell - 1)] * n)
+    weights = draw(st.dictionaries(slots, st.integers(1, p - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):  # the top slot alone is a unit; mix it in often
+        weights[(ell - 1,) * n] = draw(st.integers(1, p - 1))
+    A = make_qas(n, ell, p, cmatrix=C, degrees=degrees)
+    ext = ell_centre_extension(A.algebra(), ell)
+    ext = ext.with_form(SlotSum(ext, weights))
+    M = gram_matrix(ext)
+    exact = qas_gram_oracle(C, ell, A.field.zeta, p, weights)
+    assert [[{tuple(e // ell for e in s): v for s, v in el.terms.items()} for el in row]
+            for row in M] == exact
+    try:
+        phi_degree = mapping_degree(ext)
+    except HomogeneityError:
+        phi_degree = None
+    status = det_is_unit(M, ext, phi_degree, rng=random.Random(draw(st.integers(0, 99))))
+    event(f"{status.kind} via {status.method}")
+    unit = is_unit_oracle(det_over_s_oracle(exact, p, n), n)
+    if status.kind in ("unit-determinant", "singular"):
+        assert unit == (status.kind == "unit-determinant"), status
+    elif status.kind == "probabilistic-unit":
+        assert unit, status
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 5), (1, 13), (2, 5), (2, 31)]),
+    k=st.integers(2, 4),
+    unimodular=st.booleans(),
+    data=st.data(),
+)
+def test_det_is_unit_on_matrices_over_s_agrees_with_exact_oracle(shape, k, unimodular, data):
+    # Gram matrices of slot sums are rarely units beyond permutations, so
+    # the probabilistic path is reached here: unimodular matrices are a
+    # unit diagonal under a few row operations with polynomial factors
+    n, p = shape
+    draw = data.draw
+    A = make_qas(n, 2, p)
+    alg = A.algebra()
+    ext = ell_centre_extension(alg, 2)
+    monomial = st.tuples(*[st.integers(0, 1)] * n)
+    poly = st.dictionaries(monomial, st.integers(1, p - 1), max_size=2).map(
+        lambda terms: sum((alg.monomial(tuple(2 * e for e in s), v) for s, v in terms.items()),
+                          alg.zero())
+    )
+    if unimodular:
+        M = [[alg.monomial((0,) * n, draw(st.integers(1, p - 1))) if i == j else alg.zero()
+              for j in range(k)] for i in range(k)]
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.sampled_from([(i, j) for i in range(k) for j in range(k) if i != j]))
+            f = draw(poly)
+            M[i] = [x + multiply(alg, f, y) for x, y in zip(M[i], M[j])]
+    else:
+        M = [[draw(poly) for _ in range(k)] for _ in range(k)]
+    status = det_is_unit(M, ext, None, rng=random.Random(draw(st.integers(0, 99))))
+    event(f"{status.kind} via {status.method}")
+    exact = [[{tuple(e // 2 for e in s): v for s, v in el.terms.items()} for el in row]
+             for row in M]
+    unit = is_unit_oracle(det_over_s_oracle(exact, p, n), n)
+    if status.kind in ("unit-determinant", "singular"):
+        assert unit == (status.kind == "unit-determinant"), status
+    elif status.kind == "probabilistic-unit":
+        assert unit, status
+    if unimodular:
+        assert unit
