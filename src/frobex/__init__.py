@@ -61,10 +61,8 @@ from .grpdeg import (
 )
 from .qas import (
     QuantumAffineSpace,
-    frobenius_form,
     monomial_product,
     quantum_weyl,
-    restricted_decompose,
 )
 from .rees import cone_reduction, rees_extension, rees_form, rees_of, reduce_canonical
 

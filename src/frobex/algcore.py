@@ -131,9 +131,6 @@ class RootField:
     def __repr__(self):
         return f"F_{self.p}(zeta_{self.ell}={self.zeta})"
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -223,10 +220,6 @@ class Element:
             return "0"
         parts = [f"{c}*[{idx}]" for idx, c in sorted(self.terms.items(), key=lambda t: repr(t[0]))]
         return " + ".join(parts)
-
-
-def zero_element(fld: RootField) -> Element:
-    return Element(fld, {})
 
 
 def monomial(fld: RootField, idx, coeff: int = 1) -> Element:

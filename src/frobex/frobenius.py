@@ -154,7 +154,6 @@ class CentralFreeExtension:
         self.name = name or f"ell-centre of {ambient.name}"
         self._gram: Optional[list[list[Element]]] = None
         self._gram_form = None  # the form object self._gram was built for
-        self._table: Optional[list[list[tuple]]] = None
 
     @property
     def basis(self) -> tuple:
@@ -166,53 +165,22 @@ class CentralFreeExtension:
     def gram(self) -> list[list[Element]]:
         """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
 
-        The build makes one product per entry and decomposes it once; the
-        decompositions are kept as the product table (see
-        ``product_table``).  For a ``ProjectionForm`` over this engine the
-        entry is the form's slot of that decomposition, which is what the
-        form itself computes; any other form is called on the product.
+        The build makes one product and one form evaluation per entry.
         Every zero entry is one shared zero element, so a sparse M costs
-        about a pointer per entry.  The rows are cached and must not be
-        changed; ``gram_matrix`` hands out copies.
+        about a pointer per entry.  M is assigned only once complete, so a
+        form that raises leaves no partial matrix.  The rows are cached
+        and must not be changed; ``gram_matrix`` hands out copies.
         """
         form = self.form
         if form is None:
             raise DomainError("extension carries no form")
         if self._gram is None or self._gram_form is not form:
             A = self.ambient
-            engine = self.engine
             zero = A.zero()
             basis = self.basis
-            projection = isinstance(form, ProjectionForm) and form.engine is engine
-            gram, table = [], []
-            shared: dict = {}  # equal table entries are one tuple
-            for b in basis:
-                row, trow = [], []
-                for c in basis:
-                    prod = A.mul_indices(b, c)
-                    slots = engine.decompose(prod).slots
-                    terms: list = []
-                    for r, z in slots.items():
-                        for s, v in z.terms.items():
-                            terms += (r, s, v)
-                    flat = tuple(terms)
-                    trow.append(shared.setdefault(flat, flat))
-                    row.append(slots.get(form.slot, zero) if projection else form(prod) or zero)
-                gram.append(row)
-                table.append(trow)
-            self._gram, self._table, self._gram_form = gram, table, form
+            gram = [[form(A.mul_indices(b, c)) or zero for c in basis] for b in basis]
+            self._gram, self._gram_form = gram, form
         return self._gram
-
-    def product_table(self) -> list[list[tuple]]:
-        """The free decompositions of the basis products, built with M.
-
-        Entry [i][j] lists b_i * b_j = sum of v * x^s * x^r as one flat
-        tuple (r, s, v, r, s, v, ...), one triple per slot term, holding
-        the engine's own index tuples; equal entries are one tuple.  It
-        does not depend on the form.
-        """
-        self.gram()
-        return self._table
 
     def validate(self) -> None:
         """Cheap structural checks: S central and commutative on generators,
@@ -272,9 +240,6 @@ class GramStatus:
     method: str
     confidence: Optional[float] = None
     detail: str = ""
-
-    def is_unit(self) -> bool:
-        return self.kind in ("unit-determinant", "probabilistic-unit")
 
     def __str__(self):
         return self.kind
@@ -760,7 +725,6 @@ class ReducedExtension:
 
     point: tuple
     basis: tuple
-    mul_table: dict  # (b, c) -> {b'': scalar}
     pairing: list  # pairing[i][j] = Phi_lambda(b_i * b_j)
     pairing_rank: int
     nondegenerate: bool
@@ -770,41 +734,18 @@ class ReducedExtension:
 def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
     """Quotient at the point of Max S sending the subring generators to
     the given scalars; the verdict is full rank of the induced pairing."""
-    A = E.ambient
     basis = E.basis
     point = tuple(point)
     if len(point) != E.engine.point_len:
         raise DomainError(
             f"point has {len(point)} coordinates, expected {E.engine.point_len}"
         )
-    # both tables come from the Gram system, built here if need be, and
-    # each central index is evaluated once
-    M = E.gram()
-    p = A.field.p
-    values: dict = {}
-
-    def value(s) -> int:
-        v = values.get(s)
-        if v is None:
-            v = values[s] = E.engine.eval_index(s, point)
-        return v
-
-    mul_table = {}
-    for b, trow in zip(basis, E.product_table()):
-        for c, flat in zip(basis, trow):
-            entry: dict = {}
-            it = iter(flat)
-            for r, s, v in zip(it, it, it):
-                entry[r] = (entry.get(r, 0) + v * value(s)) % p
-            mul_table[(b, c)] = {r: v for r, v in entry.items() if v}
-    pairing = [
-        [sum(v * value(s) for s, v in el.terms.items()) % p for el in row] for row in M
-    ]
-    rank = fp_rank(pairing, p)
+    # the pairing is read from the Gram system, built here if need be
+    pairing = [[_eval_entry(E, el, point) for el in row] for row in E.gram()]
+    rank = fp_rank(pairing, E.ambient.field.p)
     return ReducedExtension(
         point=point,
         basis=basis,
-        mul_table=mul_table,
         pairing=pairing,
         pairing_rank=rank,
         nondegenerate=(rank == len(basis)),
@@ -813,7 +754,7 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
 
 
 # ---------------------------------------------------------------------------
-# dual bases, filtered lifts, top components
+# dual bases and filtered lifts
 # ---------------------------------------------------------------------------
 
 
@@ -874,46 +815,6 @@ def lift_form(
         raise UnsupportedStructure("can only lift slot-projection forms")
     form = graded_ext.form
     return ProjectionForm(E_filtered.engine, form.slot, form.degree)
-
-
-class TopComponentForm:
-    """The top homogeneous component of a filtered form.
-
-    Values on the basis are truncated to degree deg(b) + d, where d is the
-    top mapping degree; the result extends S-linearly through the
-    decomposition engine.
-    """
-
-    __slots__ = ("engine", "values", "algebra")
-
-    def __init__(self, E: CentralFreeExtension, form):
-        A = E.ambient
-        shifts = []
-        raw = {}
-        for b in E.basis:
-            val = form(A.monomial(b))
-            raw[b] = val
-            if not val.is_zero():
-                shifts.append(filtered_degree(A, val) - A.degree_of(b))
-        if not shifts:
-            raise DomainError("form vanishes on the basis")
-        d = max(shifts, key=lambda g: g.coords)
-        self.engine = E.engine
-        self.algebra = A
-        self.values = {}
-        for b, val in raw.items():
-            target = A.degree_of(b) + d
-            kept = {t: c for t, c in val.terms.items() if A.degree_of(t) == target}
-            self.values[b] = Element(A.field, kept)
-
-    def __call__(self, y: Element) -> Element:
-        A = self.algebra
-        total = A.zero()
-        for slot, z in self.engine.decompose(y).slots.items():
-            val = self.values.get(slot)
-            if val is not None and not val.is_zero():
-                total = total + multiply(A, z, val)
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ class QuantumAffineSpace:
         self.degrees = tuple(degrees)
         self._validate()
         self._algebra = self._build_algebra()
-        self._engine = None
 
     def _validate(self):
         n, C = self.n, self.cmatrix
@@ -145,11 +144,6 @@ class QuantumAffineSpace:
     def algebra(self) -> BasedAlgebra:
         return self._algebra
 
-    def engine(self) -> "RestrictedBasisEngine":
-        if self._engine is None:
-            self._engine = RestrictedBasisEngine(self._algebra, self.field.ell)
-        return self._engine
-
     def __repr__(self):
         return self._algebra.name
 
@@ -223,9 +217,6 @@ class RestrictedBasisEngine:
         # index -> (r, s, 1/c) from _split; only indices that split are kept
         self._splits: dict = {}
 
-    def subring_contains(self, idx) -> bool:
-        return all(e % self.ell == 0 for e in idx)
-
     def complement(self, b) -> tuple:
         return tuple(self.ell - 1 - e for e in b)
 
@@ -272,16 +263,6 @@ class RestrictedBasisEngine:
 
     def random_index(self, rng) -> tuple:
         return tuple(rng.randrange(0, 2 * self.ell) for _ in range(self.width))
-
-
-def restricted_decompose(A: QuantumAffineSpace, y: Element) -> FreeDecomposition:
-    """Unique decomposition y = sum of z_r * x^r over restricted monomials."""
-    return A.engine().decompose(y)
-
-
-def frobenius_form(A: QuantumAffineSpace, y: Element) -> Element:
-    """Projection onto the slot of x^(ell-1, ..., ell-1); lands in the ell-centre."""
-    return restricted_decompose(A, y).slot(A.engine().top_slot())
 
 
 def standard_cmatrix(n: int) -> tuple[tuple[int, ...], ...]:

@@ -277,9 +277,6 @@ class ReesEngine:
         ) + ((A.one, GroupElement((1,))),)
         self.point_len = base_engine.point_len + 1
 
-    def subring_contains(self, idx) -> bool:
-        return self.base_engine.subring_contains(idx[0])
-
     def complement(self, bidx):
         b, _ = bidx
         comp = self.base_engine.complement(b)

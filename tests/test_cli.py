@@ -1,5 +1,8 @@
 """Exit-code contract, report structure, determinism, seed override."""
 
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
 from frobex.cli import main
 
 
@@ -181,3 +184,78 @@ def test_unwritable_out_exit_two(tmp_path, capsys):
     assert err.startswith("frobex: input error: cannot write report: ")
     assert str(out) in err
     assert not out.exists()
+
+
+COMMANDS = ("qas-verify", "nakayama", "qweyl-transfer", "rees-demo", "grassmannian-census")
+JUNK = st.sampled_from(("", "x", "1.5", "0 a; 1 0", "1; 1.5", "1 0", ";", "0 1; -1 0; 2", "-"))
+PRIMES = st.sampled_from(("x", "1.5", "-7", "0", "1", "2", "4", "5", "7", "9", "13"))
+PRESENTATION = "[field]\np = {}\nell = {}\n\n[generators]\nnames = a b\ndegrees = {}\n\n[relations]\nc = {}\n"
+
+
+def is_int(text):
+    try:
+        int(text)
+        return True
+    except ValueError:
+        return False
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with small, often invalid, values for its flags; the
+    config is absent, missing, garbage or a presentation with bad values."""
+    command = draw(st.sampled_from(COMMANDS + ("qas-verfy",)))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--ell", str(draw(st.integers(-1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--p", draw(PRIMES)]
+    if command in ("qas-verify", "nakayama"):
+        if draw(st.booleans()):
+            argv += ["--n", str(draw(st.integers(-1, 3)))]
+        for flag in ("--cmatrix", "--degrees"):
+            if draw(st.booleans()):
+                argv += [flag, draw(JUNK)]
+    if command == "rees-demo" and draw(st.booleans()):
+        argv += ["--window", str(draw(st.integers(-2, 6)))]
+    config = draw(st.sampled_from((None, "missing", "text", "presentation")))
+    text = None
+    if config == "text":
+        text = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+    elif config == "presentation":
+        text = PRESENTATION.format(
+            draw(st.sampled_from(("7", "4", "x"))),
+            draw(st.sampled_from(("3", "0", "-1"))),
+            draw(st.sampled_from(("1; 1", "1", "a; 1"))),
+            draw(st.sampled_from(("0 1; -1 0", "0 1; 1 0", "0 1"))),
+        )
+    seed = draw(st.sampled_from((None, "5", "-3", "seven", "")))
+    return argv, config, text, seed
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_argv())
+def test_cli_fuzz_exits_cleanly(case, tmp_path, monkeypatch, capsys):
+    argv, config, text, seed = case
+    if config is not None:
+        cfg = tmp_path / f"{config}.cfg"
+        if text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    if seed is None:
+        monkeypatch.delenv("FROBEX_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FROBEX_SEED", seed)
+    capsys.readouterr()
+    code = main([*argv, "--out", str(tmp_path / "report.txt")])
+    out, err = capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    # argparse rejects an unknown command or a non-integer --p with its usage
+    # message; every other input error is frobex's own
+    values = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] not in COMMANDS or not is_int(values.get("--p", "0")):
+        assert code == 2 and "error:" in err
+    elif code == 2:
+        assert "frobex: input error:" in err

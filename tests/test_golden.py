@@ -1,8 +1,8 @@
 """CLI reports held byte for byte, with their exit codes, to golden files.
 
-The files under tests/golden/ were written by the CLI before the Gram
-system kept its product table; a change meant to leave reports alone must
-keep them identical.  To add a case, run the command with ``--out`` into
+The files under tests/golden/ hold the CLI's reports as they stood when
+each case was added; a change meant to leave reports alone must keep them
+identical.  To add a case, run the command with ``--out`` into
 tests/golden/ and list it here with its exit code.
 """
 
