@@ -19,6 +19,7 @@ import configparser
 import io
 import random
 from dataclasses import dataclass, field, replace
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import AlgebraDefinitionError, ConfigError, DomainError
@@ -166,6 +167,18 @@ class Element:
                 if c:
                     clean[idx] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def reduced(cls, fld: RootField, terms: dict) -> "Element":
+        """Wrap terms as they are, without reducing or copying them.
+
+        Only for a fresh dict that nothing else holds, whose values all lie
+        in [1, p): it becomes the element's own terms.
+        """
+        el = object.__new__(cls)
+        object.__setattr__(el, "field", fld)
+        object.__setattr__(el, "terms", terms)
+        return el
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -319,11 +332,14 @@ def gr_of(A: BasedAlgebra) -> BasedAlgebra:
     if A.mode == "graded":
         return A
 
+    degree_of = A.degree_of
+
     def mul(i, j):
-        target = A.degree_of(i) + A.degree_of(j)
+        # compared as coordinates, so no GroupElement is made per product
+        target = tuple(map(add, degree_of(i).coords, degree_of(j).coords))
         prod = A.mul_indices(i, j)
-        kept = {t: c for t, c in prod.terms.items() if A.degree_of(t) == target}
-        return Element(A.field, kept)
+        kept = {t: c for t, c in prod.terms.items() if degree_of(t).coords == target}
+        return Element.reduced(A.field, kept)
 
     return replace(A, mode="graded", mul_indices=mul, name=f"gr({A.name})")
 

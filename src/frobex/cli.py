@@ -200,13 +200,10 @@ def run_rees_demo(args) -> tuple[str, list[str]]:
     RA, rext = rees_extension(ext, window=window)
     rng = random.Random(args.seed)
     cert = verify_frobenius(rext, rng=rng)
-    reductions = {}
-    for which in ("m0", "m1"):
-        try:
-            check_reduction_tables(RA, which)
-            reductions[which] = "match"
-        except FrobexError as exc:
-            reductions[which] = f"mismatch ({exc})"
+    reductions = {
+        which: "match" if failure is None else f"mismatch ({failure})"
+        for which, failure in check_reduction_tables(RA, ("m0", "m1")).items()
+    }
     try:
         check_cone_freeness(RA)
         freeness = "pass"
@@ -268,8 +265,16 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments in frobex's own exit-2 format; the subcommand
+    parsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(2, f"frobex: input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobex",
         description="verify and refute Frobenius extensions of quantum algebras",
     )

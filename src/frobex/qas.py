@@ -94,7 +94,8 @@ class QuantumAffineSpace:
 
         def mul(a, b):
             k, exps = monomial_product(self, a, b)
-            return Element(fld, {exps: fld.zeta_pow(k)})
+            # zeta is a unit, so its power is never 0 mod p
+            return Element.reduced(fld, {exps: fld.zeta_pow(k)})
 
         def index_str(exps):
             if not any(exps):
@@ -175,7 +176,8 @@ class FreeDecomposition:
         self.slots = {r: z for r, z in slots.items() if not z.is_zero()}
 
     def slot(self, r) -> Element:
-        return self.slots.get(r, Element(self.algebra.field, {}))
+        z = self.slots.get(r)
+        return self.algebra.zero() if z is None else z
 
     def reassemble(self) -> Element:
         from .algcore import multiply
@@ -332,7 +334,9 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
             if b:
                 low = c * qint(b) % fld.p
                 out[(a, b - 1)] = (out.get((a, b - 1), 0) + low) % fld.p
-        return out
+        # [ell]_q = 0 and cancelling terms leave zeros; products wrap these
+        # entries as reduced elements, so they must hold none
+        return {idx: c for idx, c in out.items() if c}
 
     def expand(b, a) -> dict:
         """Normal-ordered x^b * y^a, extending the cached chain for b."""
@@ -346,7 +350,7 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
     def mul(i, j):
         (a1, b1), (a2, b2) = i, j
         shifted = {(a1 + a, b + b2): c for (a, b), c in expand(b1, a2).items()}
-        return Element(fld, shifted)
+        return Element.reduced(fld, shifted)
 
     def degree_of(idx) -> GroupElement:
         g = degrees.get(idx)

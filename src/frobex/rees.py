@@ -50,12 +50,16 @@ def rees_of(A: BasedAlgebra, window: GroupElement) -> ReesAlgebra:
         raise DomainError(f"window {window} is not in the positive cone")
     fld = A.field
     dim = len(window)
+    sums: dict = {}  # (g.coords, h.coords) -> g + h, so no product adds degrees
 
     def mul(i, j):
         (b, g), (c, h) = i, j
         prod = A.mul_indices(b, c)
-        gh = g + h
-        return Element(fld, {(t, gh): coeff for t, coeff in prod.terms.items()})
+        key = (g.coords, h.coords)
+        gh = sums.get(key)
+        if gh is None:
+            gh = sums[key] = g + h
+        return Element.reduced(fld, {(t, gh): coeff for t, coeff in prod.terms.items()})
 
     def index_str(idx):
         b, g = idx
@@ -163,35 +167,51 @@ def reduce_canonical(RA: ReesAlgebra, which: str) -> ConeReduction:
     raise DomainError("reduction must be 'm0' or 'm1'")
 
 
-def check_reduction_tables(RA: ReesAlgebra, which, window: Optional[GroupElement] = None) -> None:
-    """Exhaustively verify within the window that a cone reduction is an
-    algebra map whose structure constants match the target's table.
+def check_reduction_tables(
+    RA: ReesAlgebra, reductions, window: Optional[GroupElement] = None
+) -> dict:
+    """Exhaustively verify within the window that cone reductions are
+    algebra maps whose structure constants match their targets' tables.
 
-    Checks every admissible pair (u, v) with deg u + deg v <= window, in
-    the order u, then v, of ``enumerate_admissible``; since that order
-    ascends in cone degree, the partners of u of degree g are a prefix of
-    it, and only that prefix is visited.
+    ``reductions`` lists 'm0', 'm1' or ConeReductions.  Every admissible
+    pair (u, v) with deg u + deg v <= window is visited once, in the order
+    u, then v, of ``enumerate_admissible``; since that order ascends in cone
+    degree, the partners of u of degree g are a prefix of it, and only that
+    prefix is visited.  Each pair's Rees product is made once and mapped by
+    every reduction that has not failed yet.
 
-    Accepts 'm0', 'm1' or a ConeReduction."""
+    Returns {reduction: None if it passed, else the failure message}; a
+    reduction fails at the unit or at its first non-multiplicative pair.
+    """
     window = window or RA.window
-    red = which if isinstance(which, ConeReduction) else reduce_canonical(RA, which)
     RAlg = RA.algebra
-    tgt = red.target
-    if red.map_element(RAlg.one_element()) != tgt.one_element():
-        raise DomainError(f"{red.scalar} reduction does not send unit to unit")
+    result: dict = {}
+    live = []  # (which, reduction, the image of each index) until it fails
     indices = list(enumerate_admissible(RA, window))
+    for which in reductions:
+        red = which if isinstance(which, ConeReduction) else reduce_canonical(RA, which)
+        result[which] = None
+        if red.map_element(RAlg.one_element()) != red.target.one_element():
+            result[which] = f"{red.scalar} reduction does not send unit to unit"
+        else:
+            live.append((which, red, [red.map_monomial(i) for i in indices]))
     limit = window.coords[0]
     # ends[h] = number of indices of cone degree <= h
     counts = Counter(g.coords[0] for _, g in indices)
     ends = list(accumulate(counts[h] for h in range(limit + 1)))
-    for u in indices:
-        for v in indices[: ends[limit - u[1].coords[0]]]:
-            lhs = red.map_element(RAlg.mul_indices(u, v))
-            rhs = multiply(tgt, red.map_monomial(u), red.map_monomial(v))
-            if lhs != rhs:
-                raise DomainError(
-                    f"cone reduction at {red.scalar} is not multiplicative at {u}, {v}"
-                )
+    for ui, u in enumerate(indices):
+        for vi, v in enumerate(indices[: ends[limit - u[1].coords[0]]]):
+            if not live:
+                return result
+            prod = RAlg.mul_indices(u, v)
+            for entry in tuple(live):
+                which, red, images = entry
+                if red.map_element(prod) != multiply(red.target, images[ui], images[vi]):
+                    result[which] = (
+                        f"cone reduction at {red.scalar} is not multiplicative at {u}, {v}"
+                    )
+                    live.remove(entry)
+    return result
 
 
 def check_cone_freeness(RA: ReesAlgebra, window: Optional[GroupElement] = None) -> None:

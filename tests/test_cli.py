@@ -252,10 +252,10 @@ def test_cli_fuzz_exits_cleanly(case, tmp_path, monkeypatch, capsys):
     event(f"exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
-    # argparse rejects an unknown command or a non-integer --p with its usage
-    # message; every other input error is frobex's own
+    # an unknown command or a non-integer --p is rejected while parsing; every
+    # exit 2, from the parser or later, prints frobex's format and no usage
     values = dict(zip(argv[1::2], argv[2::2]))
     if argv[0] not in COMMANDS or not is_int(values.get("--p", "0")):
-        assert code == 2 and "error:" in err
-    elif code == 2:
-        assert "frobex: input error:" in err
+        assert code == 2
+    if code == 2:
+        assert err.startswith("frobex: input error:") and "usage:" not in err, err

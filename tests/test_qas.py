@@ -255,6 +255,39 @@ def test_qweyl_cached_products_match_word_oracle(ell):
         assert W.degree_of(idx) is W.degree_of(idx)
 
 
+def test_trusted_products_are_reduced():
+    # products wrapped without re-reduction hold values in [1, p) only and
+    # equal the element the checked constructor builds; x^3 * y meets
+    # [3]_q = 0 at ell = 3
+    from frobex.algcore import gr_of
+    from frobex.rees import enumerate_admissible, rees_of
+
+    def assert_reduced(el):
+        assert all(0 < c < el.field.p for c in el.terms.values()), el
+        assert el == Element(el.field, dict(el.terms))
+
+    W = quantum_weyl(3, 7)
+    G = gr_of(W)
+    indices = list(W.enumerate_up_to(GroupElement((4,))))
+    assert (0, 4) in indices
+    for i in indices:
+        for j in indices:
+            prod = W.mul_indices(i, j)
+            assert_reduced(prod)
+            assert prod == qweyl_product_oracle(W.field, i, j)
+            assert_reduced(G.mul_indices(i, j))
+    RA = rees_of(W, GroupElement((6,)))
+    adm = list(enumerate_admissible(RA, GroupElement((3,))))
+    for u in adm:
+        for v in adm:
+            assert_reduced(RA.algebra.mul_indices(u, v))
+    A = make_qas(3, 3, 7).algebra()
+    exps = list(itertools.product(range(4), repeat=3))
+    for a in exps:
+        for b in exps:
+            assert_reduced(A.mul_indices(a, b))
+
+
 def test_qweyl_caches_belong_to_one_algebra():
     # the same expansions over two fields: nothing cached carries over
     algebras = [quantum_weyl(3, 7), quantum_weyl(3, 13)]

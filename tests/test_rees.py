@@ -1,7 +1,6 @@
 """Rees algebras: admissibility, canonical reductions, transported forms."""
 
 import random
-import re
 from dataclasses import replace
 
 import pytest
@@ -82,8 +81,7 @@ def test_cone_freeness_spot_check(rees3):
 
 
 def test_reduction_tables_match(rees3):
-    check_reduction_tables(rees3, "m0", g1(6))
-    check_reduction_tables(rees3, "m1", g1(6))
+    assert check_reduction_tables(rees3, ("m0", "m1"), g1(6)) == {"m0": None, "m1": None}
 
 
 def admissible_in_order(window):
@@ -108,31 +106,32 @@ def counted_rees(RA):
 
 
 def test_reduction_tables_visit_only_in_window_pairs(rees3):
+    # one Rees product per in-window pair, in order, however many reductions
     window = 6
     adm = admissible_in_order(window)
     in_window = [(u, v) for u in adm for v in adm if u[1].coords[0] + v[1].coords[0] <= window]
     RA, calls = counted_rees(rees3)
-    for which in ("m0", "m1"):
+    for reductions in (("m0",), ("m1",), ("m0", "m1")):
         del calls[:]
-        check_reduction_tables(RA, which, g1(window))
+        check_reduction_tables(RA, reductions, g1(window))
         assert len(calls) == len(in_window)
         assert calls == in_window
 
 
-def test_reduction_tables_name_first_failing_pair(rees3, weyl3):
-    # a target table wrong on one base pair whose degrees sum to the window:
-    # the only failing Rees pair has cone degrees adding up to the window
-    window = 7
-    bad = ((0, 4), (3, 0))
+def broken_target(target, bad):
+    """The target algebra with its product wrong (by the unit) on one base pair."""
 
     def mul(b, c):
-        prod = weyl3.mul_indices(b, c)
-        return prod + weyl3.one_element() if (b, c) == bad else prod
+        prod = target.mul_indices(b, c)
+        return prod + target.one_element() if (b, c) == bad else prod
 
-    red = ConeReduction(rees=rees3, scalar=1, target=replace(weyl3, mul_indices=mul))
-    RAlg = rees3.algebra
+    return replace(target, mul_indices=mul)
+
+
+def failing_pairs(RA, red, window):
+    RAlg = RA.algebra
     adm = admissible_in_order(window)
-    failing = [
+    return [
         (u, v)
         for u in adm
         for v in adm
@@ -140,10 +139,65 @@ def test_reduction_tables_name_first_failing_pair(rees3, weyl3):
         and red.map_element(RAlg.mul_indices(u, v))
         != multiply(red.target, red.map_monomial(u), red.map_monomial(v))
     ]
+
+
+def not_multiplicative_at(pair, scalar=1):
+    return "cone reduction at {} is not multiplicative at {}, {}".format(scalar, *pair)
+
+
+def test_reduction_tables_name_first_failing_pair(rees3, weyl3):
+    # a target table wrong on one base pair whose degrees sum to the window:
+    # the only failing Rees pair has cone degrees adding up to the window
+    window = 7
+    bad = ((0, 4), (3, 0))
+    m1_bad = ConeReduction(rees=rees3, scalar=1, target=broken_target(weyl3, bad))
+    failing = failing_pairs(rees3, m1_bad, window)
     assert failing == [((bad[0], g1(4)), (bad[1], g1(3)))]
-    named = re.escape("not multiplicative at {}, {}".format(*failing[0]))
-    with pytest.raises(DomainError, match=named + "$"):
-        check_reduction_tables(rees3, red, g1(window))
+
+    # only m1 broken: m0 passes, m1 names the pair
+    got = check_reduction_tables(rees3, ("m0", m1_bad), g1(window))
+    assert got == {"m0": None, m1_bad: not_multiplicative_at(failing[0])}
+
+    # both broken, at different pairs: each names its own
+    gr = reduce_canonical(rees3, "m0").target
+    m0_bad = ConeReduction(rees=rees3, scalar=0, target=broken_target(gr, ((1, 0), (0, 2))))
+    failing0 = failing_pairs(rees3, m0_bad, window)
+    assert failing0 == [(((1, 0), g1(1)), ((0, 2), g1(2)))]
+    got = check_reduction_tables(rees3, (m0_bad, m1_bad), g1(window))
+    assert got == {
+        m0_bad: not_multiplicative_at(failing0[0], 0),
+        m1_bad: not_multiplicative_at(failing[0]),
+    }
+
+    # a reduction that fails at the unit does not stop the other
+    no_unit = ConeReduction(rees=rees3, scalar=1, target=replace(weyl3, one=(1, 0)))
+    got = check_reduction_tables(rees3, (no_unit, m1_bad), g1(window))
+    assert got == {
+        no_unit: "1 reduction does not send unit to unit",
+        m1_bad: not_multiplicative_at(failing[0]),
+    }
+
+
+def test_products_make_no_group_elements(rees3, weyl3, monkeypatch):
+    # after warm-up, neither a gr product nor a Rees product at degrees
+    # already added allocates a degree
+    G = gr_of(weyl3)
+    RAlg = rees3.algebra
+    G.mul_indices((1, 1), (0, 2))
+    RAlg.mul_indices(((1, 1), g1(3)), ((0, 2), g1(2)))
+    u, v = ((2, 0), g1(3)), ((1, 0), g1(2))
+    want = Element(weyl3.field, {((3, 0), g1(5)): 1})
+    made = []
+    init = GroupElement.__init__
+
+    def counted(g, coords):
+        made.append(coords)
+        init(g, coords)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    assert G.mul_indices((1, 1), (0, 2)) == weyl3.mul_indices((1, 1), (0, 2))
+    assert RAlg.mul_indices(u, v) == want
+    assert made == []
 
 
 def test_reduction_maps_unit_to_unit(rees3, weyl3):
@@ -277,7 +331,7 @@ def test_generic_cone_reductions_are_homomorphisms(rees3):
     for c in (2, 3, 5):
         red = cone_reduction(rees3, c)
         assert red.target is rees3.base
-        check_reduction_tables(rees3, red, g1(5))
+        assert check_reduction_tables(rees3, (red,), g1(5)) == {red: None}
 
 
 def test_cone_reduction_scalar_powers(rees3, weyl3):
