@@ -64,6 +64,6 @@ from .qas import (
     monomial_product,
     quantum_weyl,
 )
-from .rees import cone_reduction, rees_extension, rees_form, rees_of, reduce_canonical
+from .rees import cone_reduction, rees_extension, rees_of, reduce_canonical
 
 __version__ = "0.1.0"

@@ -100,13 +100,15 @@ def _fmt_matrix(mat) -> str:
     return "; ".join(" ".join(str(v) for v in row) for row in mat)
 
 
-def run_qas_verify(args) -> tuple[str, list[str]]:
+def _qas_setup(args):
+    """The QAS, its extension and certificate, and the [config] lines that
+    qas-verify and nakayama share."""
     A = _build_qas(args)
     ext = ell_centre_extension(A.algebra(), args.ell)
     rng = random.Random(args.seed)
     cert = verify_frobenius(ext, rng=rng)
     params = {
-        "command": "qas-verify",
+        "command": args.command,
         "p": args.p,
         "ell": args.ell,
         "n": args.n,
@@ -115,7 +117,11 @@ def run_qas_verify(args) -> tuple[str, list[str]]:
         "cmatrix": _fmt_matrix(A.cmatrix),
         "degrees": "; ".join(str(d) for d in A.degrees),
     }
-    lines = _config_lines(params)
+    return A, ext, rng, cert, _config_lines(params)
+
+
+def run_qas_verify(args) -> tuple[str, list[str]]:
+    A, ext, _, cert, lines = _qas_setup(args)
     lines += _result_lines("qas-verify", cert.verdict)
     lines.append("[certificate]")
     lines.append(format_certificate(cert, A.algebra()))
@@ -125,33 +131,18 @@ def run_qas_verify(args) -> tuple[str, list[str]]:
 
 
 def run_nakayama(args) -> tuple[str, list[str]]:
-    A = _build_qas(args)
-    ext = ell_centre_extension(A.algebra(), args.ell)
-    rng = random.Random(args.seed)
-    cert = verify_frobenius(ext, rng=rng)
-    outcome = cert.verdict
+    A, ext, rng, cert, lines = _qas_setup(args)
     lines_tail = []
     if cert.verdict == "frobenius":
         nak = nakayama_on_generators(ext, cert, rng=rng, checks=200)
         cert.nakayama = nak.images
         cert.nakayama_trivial = nak.trivial
         lines_tail.append(f"nakayama_checked_pairs: {nak.checked_pairs}")
-    params = {
-        "command": "nakayama",
-        "p": args.p,
-        "ell": args.ell,
-        "n": args.n,
-        "seed": args.seed,
-        "zeta": A.field.zeta,
-        "cmatrix": _fmt_matrix(A.cmatrix),
-        "degrees": "; ".join(str(d) for d in A.degrees),
-    }
-    lines = _config_lines(params)
-    lines += _result_lines("nakayama", outcome)
+    lines += _result_lines("nakayama", cert.verdict)
     lines.append("[certificate]")
     lines.append(format_certificate(cert, A.algebra()))
     lines += lines_tail
-    return outcome, lines
+    return cert.verdict, lines
 
 
 def run_qweyl_transfer(args) -> tuple[str, list[str]]:
@@ -287,17 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--config", type=str, default=None)
 
-    sp = sub.add_parser("qas-verify", help="certify quantum affine space")
-    common(sp)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--degrees", type=str, default=None)
-    sp.add_argument("--cmatrix", type=str, default=None)
-
-    sp = sub.add_parser("nakayama", help="compute the Nakayama automorphism")
-    common(sp)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--degrees", type=str, default=None)
-    sp.add_argument("--cmatrix", type=str, default=None)
+    for name, help_text in (
+        ("qas-verify", "certify quantum affine space"),
+        ("nakayama", "compute the Nakayama automorphism"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        common(sp)
+        sp.add_argument("--n", type=int, default=2)
+        sp.add_argument("--degrees", type=str, default=None)
+        sp.add_argument("--cmatrix", type=str, default=None)
 
     sp = sub.add_parser("qweyl-transfer", help="filtered lift on the q-Weyl fixture")
     common(sp)

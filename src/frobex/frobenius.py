@@ -111,26 +111,37 @@ def fp_inverse(rows: list[list[int]], p: int) -> Optional[list[list[int]]]:
 # ---------------------------------------------------------------------------
 
 
+def reassemble(algebra: BasedAlgebra, slots: dict) -> Element:
+    """sum over r of z_r * b_r for a decomposition {r: z_r}."""
+    total = algebra.zero()
+    for r, z in slots.items():
+        total = total + multiply(algebra, z, algebra.monomial(r))
+    return total
+
+
 class ProjectionForm:
     """Projection onto one slot of a free decomposition.
 
     This is the shape of every distinguished form in the package: the
     quantum affine space form is the projection onto the top restricted
-    slot, and filtered lifts reuse the same slot against the filtered
-    decomposition (the lift recipe is literally 'same slot, new engine').
+    slot, filtered lifts reuse the same slot against the filtered
+    decomposition (the lift recipe is literally 'same slot, new engine'),
+    and the Rees form projects onto the slot (s, deg s) of the Rees engine.
     The dual basis functional of basis element b is the projection onto
     slot b with degree -deg(b); other forms leave the degree as None.
+    Every missing slot reads as one zero held by the form.
     """
 
-    __slots__ = ("engine", "slot", "degree")
+    __slots__ = ("engine", "slot", "degree", "zero")
 
     def __init__(self, engine, slot, degree: Optional[GroupElement] = None):
         self.engine = engine
         self.slot = slot
         self.degree = degree
+        self.zero = engine.algebra.zero()
 
     def __call__(self, y: Element) -> Element:
-        return self.engine.decompose(y).slot(self.slot)
+        return self.engine.decompose(y).get(self.slot, self.zero)
 
     def __repr__(self):
         if self.degree is None:
@@ -203,7 +214,7 @@ class CentralFreeExtension:
                     raise UnsupportedStructure("subring is not commutative")
         for b in self.basis:
             mono = A.monomial(b)
-            if self.engine.decompose(mono).reassemble() != mono:
+            if reassemble(A, self.engine.decompose(mono)) != mono:
                 raise AlgebraDefinitionError(
                     f"decomposition round trip fails on basis index {b}"
                 )

@@ -161,40 +161,6 @@ def monomial_product(A: QuantumAffineSpace, a, b) -> tuple[int, tuple]:
     return k, tuple(x + y for x, y in zip(a, b))
 
 
-class FreeDecomposition:
-    """An element written as sum of central coefficients times basis slots.
-
-    ``slots`` maps a restricted exponent vector r to the coefficient z_r,
-    an Element supported on the central subring, such that the original
-    element equals sum over r of z_r * x^r.
-    """
-
-    __slots__ = ("algebra", "slots")
-
-    def __init__(self, algebra: BasedAlgebra, slots: dict):
-        self.algebra = algebra
-        self.slots = {r: z for r, z in slots.items() if not z.is_zero()}
-
-    def slot(self, r) -> Element:
-        z = self.slots.get(r)
-        return self.algebra.zero() if z is None else z
-
-    def reassemble(self) -> Element:
-        from .algcore import multiply
-
-        total = self.algebra.zero()
-        for r, z in self.slots.items():
-            total = total + multiply(self.algebra, z, self.algebra.monomial(r))
-        return total
-
-    def __repr__(self):
-        parts = [
-            f"[{r}] <- {self.algebra.format_element(z)}"
-            for r, z in sorted(self.slots.items())
-        ]
-        return "; ".join(parts) or "0"
-
-
 class RestrictedBasisEngine:
     """Free decomposition of an exponent-indexed algebra over its ell-centre.
 
@@ -225,7 +191,9 @@ class RestrictedBasisEngine:
     def top_slot(self) -> tuple:
         return (self.ell - 1,) * self.width
 
-    def decompose(self, y: Element) -> FreeDecomposition:
+    def decompose(self, y: Element) -> dict:
+        """{r: z_r} with y = sum over r of z_r * x^r, each z_r a nonzero
+        element of the central subring."""
         fld = self.algebra.field
         splits = self._splits
         slots: dict = {}
@@ -236,7 +204,7 @@ class RestrictedBasisEngine:
             r, s, inv = split
             acc = slots.setdefault(r, {})
             acc[s] = (acc.get(s, 0) + c * inv) % fld.p
-        return FreeDecomposition(self.algebra, {r: Element(fld, acc) for r, acc in slots.items()})
+        return {r: z for r, acc in slots.items() if (z := Element(fld, acc))}
 
     def _split(self, idx) -> tuple:
         """(r, s, 1/c) with x^s * x^r = c * x^idx; raises if idx does not split."""

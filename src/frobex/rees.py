@@ -20,13 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .algcore import BasedAlgebra, Element, gr_of, multiply
 from .errors import DomainError, UnsupportedStructure
-from .frobenius import CentralFreeExtension, mapping_degree
+from .frobenius import CentralFreeExtension, ProjectionForm
 from .grpdeg import GroupElement, in_positive_cone
-from .qas import FreeDecomposition
 
 
 @dataclass(frozen=True)
@@ -238,39 +237,6 @@ def check_cone_freeness(RA: ReesAlgebra, window: Optional[GroupElement] = None) 
                 raise DomainError(f"({b}, {ge}) does not factor through the cone")
 
 
-def rees_form(
-    RA: ReesAlgebra, base_form: Callable[[Element], Element], d: GroupElement
-) -> Callable[[Element], Element]:
-    """Transport a filtered form of degree d to the Rees algebra by
-    (r, g) -> (Phi(r), g + d); homogeneous of degree d by construction.
-
-    If some value fails the admissibility bound deg Phi(r) <= g + d, the
-    declared degree of the base form was wrong, and that is reported rather
-    than truncated.
-    """
-    A = RA.base
-    fld = A.field
-
-    def phi(el: Element) -> Element:
-        out: dict = {}
-        for (b, g), c in el.terms.items():
-            val = base_form(A.monomial(b))
-            if val.is_zero():
-                continue
-            h = g + d
-            for sidx, sc in val.terms.items():
-                if not (A.degree_of(sidx) <= h) or not in_positive_cone(h):
-                    raise DomainError(
-                        f"form value escapes the Rees subring at ({b}, {g}): "
-                        f"declared degree {d} is wrong"
-                    )
-                key = (sidx, h)
-                out[key] = out.get(key, 0) + c * sc
-        return Element(fld, out)
-
-    return phi
-
-
 class ReesEngine:
     """Free decomposition of Rees(R) over Rees(S), induced by the base engine.
 
@@ -302,28 +268,21 @@ class ReesEngine:
         comp = self.base_engine.complement(b)
         return (comp, self.rees.base.degree_of(comp))
 
-    def top_slot(self):
-        top = self.base_engine.top_slot()
-        return (top, self.rees.base.degree_of(top))
-
-    def decompose(self, y: Element) -> FreeDecomposition:
+    def decompose(self, y: Element) -> dict:
         A = self.rees.base
         fld = A.field
         slots: dict = {}
         for (idx, g), c in y.terms.items():
             if not (A.degree_of(idx) <= g):
                 raise DomainError(f"({idx}, {g}) is not admissible")
-            base_dec = self.base_engine.decompose(A.monomial(idx, c))
-            for r, z in base_dec.slots.items():
+            for r, z in self.base_engine.decompose(A.monomial(idx, c)).items():
                 key = (r, A.degree_of(r))
                 shift = g - A.degree_of(r)
                 acc = slots.setdefault(key, {})
                 for sidx, sc in z.terms.items():
                     skey = (sidx, shift)
                     acc[skey] = (acc.get(skey, 0) + sc) % fld.p
-        return FreeDecomposition(
-            self.algebra, {k: Element(fld, v) for k, v in slots.items()}
-        )
+        return {k: z for k, v in slots.items() if (z := Element(fld, v))}
 
     def eval_index(self, idx, point) -> int:
         sidx, g = idx
@@ -346,28 +305,27 @@ class ReesEngine:
 def rees_extension(
     E: CentralFreeExtension,
     window: Optional[GroupElement] = None,
-    phi_degree: Optional[GroupElement] = None,
     validate: bool = True,
 ) -> tuple[ReesAlgebra, CentralFreeExtension]:
     """The induced extension Rees(S) inside Rees(R), with the transported form.
 
-    Default window: three times the top basis degree of the extension under
-    test, which covers every product the windowed checks look at.
+    A projection onto base slot s becomes the projection onto the Rees slot
+    (s, deg s), which sends (r, g) to (Phi(r), g - deg s): homogeneous of
+    the base form's mapping degree -deg s.  Default window: three times the
+    top basis degree of the extension under test, which covers every
+    product the windowed checks look at.
     """
+    if not isinstance(E.form, ProjectionForm):
+        raise UnsupportedStructure("can only transport slot-projection forms")
     A = E.ambient
     top = max((A.degree_of(b) for b in E.basis), key=lambda g: g.coords)
     if window is None:
         window = 3 * top
     RA = rees_of(A, window)
-    if phi_degree is None:
-        phi_degree = mapping_degree(E)
-        if phi_degree is None:
-            raise DomainError("base form vanishes on the basis")
     engine = ReesEngine(RA, E.engine)
-    form = rees_form(RA, E.form, phi_degree)
-    ext = CentralFreeExtension(
-        RA.algebra, engine, form, name=f"rees({E.name})"
-    )
+    s = E.form.slot
+    form = ProjectionForm(engine, (s, A.degree_of(s)), E.form.degree)
+    ext = CentralFreeExtension(RA.algebra, engine, form, name=f"rees({E.name})")
     if validate:
         ext.validate()
     return RA, ext

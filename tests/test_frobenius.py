@@ -206,7 +206,7 @@ def test_basis_product_decompositions_match_word_oracle():
                 s = tuple(x - x % ell for x in e)
                 k_split, _ = qas_product_oracle(C, ell, s, r)
                 # x^b x^c = zeta^(k - k_split) * x^s x^r
-                assert {slot: z.terms for slot, z in dec.slots.items()} == {
+                assert {slot: z.terms for slot, z in dec.items()} == {
                     r: {s: fld.zeta_pow(k - k_split)}
                 }
 

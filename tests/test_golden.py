@@ -18,7 +18,9 @@ CASES = {
     "qas-verify_n3_ell5": (["qas-verify", "--n", "3", "--ell", "5"], 0),
     "nakayama_n2_ell5": (["nakayama", "--n", "2", "--ell", "5"], 0),
     "qweyl-transfer_ell3": (["qweyl-transfer", "--ell", "3"], 0),
+    "qweyl-transfer_ell4": (["qweyl-transfer", "--ell", "4"], 0),
     "rees-demo_ell2_window5": (["rees-demo", "--ell", "2", "--window", "5"], 0),
+    "rees-demo_ell3": (["rees-demo", "--ell", "3"], 0),
     "grassmannian-census_ell3": (["grassmannian-census", "--ell", "3"], 0),
     "qas-verify_malformed_cmatrix": (["qas-verify", "--cmatrix", "0 a; 1 0"], 2),
 }

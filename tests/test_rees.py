@@ -7,7 +7,7 @@ import pytest
 
 from frobex.algcore import Element, gr_of, multiply
 from frobex.errors import DomainError, UnsupportedStructure
-from frobex.frobenius import ell_centre_extension, verify_frobenius
+from frobex.frobenius import ell_centre_extension, reassemble, verify_frobenius
 from frobex.grpdeg import GroupElement
 from frobex.qas import quantum_weyl
 from frobex.rees import (
@@ -17,7 +17,6 @@ from frobex.rees import (
     enumerate_admissible,
     reduce_canonical,
     rees_extension,
-    rees_form,
     rees_of,
 )
 
@@ -243,8 +242,7 @@ def test_m1_recovers_weyl_table(rees3, weyl3):
 def test_rees_form_slot_example(weyl3, rees3):
     ell = 3
     ext = ell_centre_extension(weyl3, ell)
-    d = g1(-2 * (ell - 1))
-    phi = rees_form(rees3, ext.form, d)
+    phi = rees_extension(ext, window=g1(9))[1].form
     top = (ell - 1, ell - 1)
     val = phi(rees3.algebra.monomial((top, g1(4))))
     assert val == Element(weyl3.field, {((0, 0), g1(0)): 1})
@@ -254,7 +252,7 @@ def test_rees_form_homogeneity_random(weyl3, rees3):
     ell = 3
     ext = ell_centre_extension(weyl3, ell)
     d = g1(-2 * (ell - 1))
-    phi = rees_form(rees3, ext.form, d)
+    phi = rees_extension(ext, window=g1(9))[1].form
     RAlg = rees3.algebra
     rng = random.Random(12)
     indices = [idx for idx in enumerate_admissible(rees3, g1(8))]
@@ -270,14 +268,46 @@ def test_rees_form_homogeneity_random(weyl3, rees3):
     assert checked > 0
 
 
-def test_rees_form_detects_wrong_declared_degree(weyl3, rees3):
+def test_rees_form_rejects_inadmissible_index(weyl3, rees3):
     ell = 3
     ext = ell_centre_extension(weyl3, ell)
-    wrong = g1(-2 * (ell - 1) - 3)  # too negative: values escape the subring
-    phi = rees_form(rees3, ext.form, wrong)
-    top = (ell - 1, ell - 1)
-    with pytest.raises(DomainError):
-        phi(rees3.algebra.monomial((top, g1(2 * (ell - 1)))))
+    phi = rees_extension(ext, window=g1(9))[1].form
+    top = (ell - 1, ell - 1)  # deg top = 2(ell - 1) > 2(ell - 1) - 1
+    y = rees3.algebra.monomial((top, g1(2 * (ell - 1) - 1)))
+    with pytest.raises(DomainError, match="is not admissible"):
+        phi(y)
+
+
+def test_rees_extension_rejects_non_projection_form(weyl3):
+    ext = ell_centre_extension(weyl3, 3)
+    opaque = ext.with_form(lambda y: ext.form(y))
+    with pytest.raises(UnsupportedStructure, match="slot-projection"):
+        rees_extension(opaque)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_rees_gram_matches_base_gram_shifted(ell):
+    # the expected matrix comes from the base Gram matrix and base degrees
+    # alone: the entry at ((b, deg b), (c, deg c)) is the sum of
+    # (t, deg b + deg c - deg top) over the terms t of Phi(b * c)
+    W = quantum_weyl(ell)
+    ext = ell_centre_extension(W, ell)
+    deg = W.degree_of
+    top = deg(ext.engine.top_slot())
+    expected = {
+        ((b, deg(b)), (c, deg(c))): {
+            (t, deg(b) + deg(c) - top): coeff for t, coeff in el.terms.items()
+        }
+        for b, row in zip(ext.basis, ext.gram())
+        for c, el in zip(ext.basis, row)
+    }
+    _, rext = rees_extension(ext)
+    got = {
+        (u, v): el.terms
+        for u, row in zip(rext.basis, rext.gram())
+        for v, el in zip(rext.basis, row)
+    }
+    assert got == expected
 
 
 def test_rees_extension_verifies(weyl3):
@@ -308,7 +338,7 @@ def test_rees_decomposition_round_trip(weyl3, rees3):
             for _ in range(rng.randrange(1, 3))
         }
         y = Element(weyl3.field, terms)
-        assert rext.engine.decompose(y).reassemble() == y
+        assert reassemble(RAlg, rext.engine.decompose(y)) == y
 
 
 def test_windowed_enumeration_needs_rank_one():
