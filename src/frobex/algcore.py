@@ -297,6 +297,54 @@ class BasedAlgebra:
         return " + ".join(parts)
 
 
+def weighted_exponents(weights, limit: int) -> Iterator[tuple]:
+    """Every exponent tuple e with sum(e_i * w_i) <= limit, in lexicographic
+    order; the weights must be positive."""
+    if not weights:
+        yield ()
+        return
+    for e in range(limit // weights[0] + 1):
+        for tail in weighted_exponents(weights[1:], limit - e * weights[0]):
+            yield (e, *tail)
+
+
+def exponent_algebra(
+    field: RootField, names: tuple, mul_indices, degree_of, name: str,
+    mode: str = "graded", weights: Optional[tuple] = None,
+) -> BasedAlgebra:
+    """The based algebra whose indices are exponent tuples over the named
+    generators: unit index (0, ..., 0), unit-vector generators and monomials
+    written x1*x3^2.  Positive weights of a rank-one degree also let it
+    enumerate every index up to a degree bound."""
+    n = len(names)
+
+    def index_str(exps):
+        return "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e) or "1"
+
+    def enumerate_up_to(bound: GroupElement) -> Iterator[tuple]:
+        return weighted_exponents(weights, bound.coords[0])
+
+    return BasedAlgebra(
+        field, mode, (0,) * n, degree_of, mul_indices, index_str,
+        generator_indices=tuple(tuple(int(j == i) for j in range(n)) for i in range(n)),
+        generator_names=tuple(names),
+        name=name,
+        enumerate_up_to=enumerate_up_to if weights is not None else None,
+    )
+
+
+def check_commutation_matrix(C) -> None:
+    """Raise DomainError unless the square matrix C has zero diagonal and is
+    antisymmetric."""
+    n = len(C)
+    for i in range(n):
+        if C[i][i] != 0:
+            raise DomainError("commutation matrix has nonzero diagonal")
+        for j in range(n):
+            if C[i][j] != -C[j][i]:
+                raise DomainError("commutation matrix is not antisymmetric")
+
+
 def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:
     """Bilinear extension of the index oracle to sparse elements."""
     if a.field != A.field or b.field != A.field:

@@ -48,36 +48,12 @@ from .grassmannian import (
 from .grpdeg import GroupElement
 from .qas import (
     QuantumAffineSpace,
+    make_qas,
     quantum_plane_of_weyl,
     quantum_weyl,
     standard_cmatrix,
 )
 from .rees import check_cone_freeness, check_reduction_tables, rees_extension
-
-EXPECTATIONS = {
-    "qas-verify": "frobenius",
-    "qweyl-transfer": "frobenius",
-    "rees-demo": "frobenius",
-    "grassmannian-census": "not-frobenius",
-    "nakayama": "frobenius",
-}
-
-
-def _config_lines(params: dict) -> list[str]:
-    lines = ["[config]"]
-    for key in sorted(params):
-        lines.append(f"{key}: {params[key]}")
-    return lines
-
-
-def _result_lines(command: str, outcome: str) -> list[str]:
-    expected = EXPECTATIONS[command]
-    return [
-        "[result]",
-        f"expectation: {expected}",
-        f"outcome: {outcome}",
-        f"match: {'true' if outcome == expected else 'false'}",
-    ]
 
 
 def _build_qas(args) -> QuantumAffineSpace:
@@ -92,8 +68,7 @@ def _build_qas(args) -> QuantumAffineSpace:
             f"n = {n} but cmatrix has {len(cmatrix)} rows and "
             f"{len(degrees)} degree vectors"
         )
-    fld = RootField(args.p, args.ell, seed=args.seed)
-    return QuantumAffineSpace(fld, cmatrix, degrees)
+    return make_qas(n, args.ell, args.p, cmatrix, degrees, seed=args.seed)
 
 
 def _fmt_matrix(mat) -> str:
@@ -101,14 +76,13 @@ def _fmt_matrix(mat) -> str:
 
 
 def _qas_setup(args):
-    """The QAS, its extension and certificate, and the [config] lines that
-    qas-verify and nakayama share."""
+    """The QAS, its extension and certificate, and the [config] parameters
+    that qas-verify and nakayama share."""
     A = _build_qas(args)
     ext = ell_centre_extension(A.algebra(), args.ell)
     rng = random.Random(args.seed)
     cert = verify_frobenius(ext, rng=rng)
     params = {
-        "command": args.command,
         "p": args.p,
         "ell": args.ell,
         "n": args.n,
@@ -117,35 +91,32 @@ def _qas_setup(args):
         "cmatrix": _fmt_matrix(A.cmatrix),
         "degrees": "; ".join(str(d) for d in A.degrees),
     }
-    return A, ext, rng, cert, _config_lines(params)
+    return A, ext, rng, cert, params
 
 
-def run_qas_verify(args) -> tuple[str, list[str]]:
-    A, ext, _, cert, lines = _qas_setup(args)
-    lines += _result_lines("qas-verify", cert.verdict)
-    lines.append("[certificate]")
-    lines.append(format_certificate(cert, A.algebra()))
-    lines.append("[gram]")
-    lines.append(format_gram_block(gram_matrix(ext), A.algebra()))
-    return cert.verdict, lines
+def run_qas_verify(args):
+    A, ext, _, cert, params = _qas_setup(args)
+    body = [
+        "[certificate]",
+        format_certificate(cert, A.algebra()),
+        "[gram]",
+        format_gram_block(gram_matrix(ext), A.algebra()),
+    ]
+    return cert.verdict, params, body
 
 
-def run_nakayama(args) -> tuple[str, list[str]]:
-    A, ext, rng, cert, lines = _qas_setup(args)
-    lines_tail = []
+def run_nakayama(args):
+    A, ext, rng, cert, params = _qas_setup(args)
+    tail = []
     if cert.verdict == "frobenius":
         nak = nakayama_on_generators(ext, cert, rng=rng, checks=200)
         cert.nakayama = nak.images
         cert.nakayama_trivial = nak.trivial
-        lines_tail.append(f"nakayama_checked_pairs: {nak.checked_pairs}")
-    lines += _result_lines("nakayama", cert.verdict)
-    lines.append("[certificate]")
-    lines.append(format_certificate(cert, A.algebra()))
-    lines += lines_tail
-    return cert.verdict, lines
+        tail.append(f"nakayama_checked_pairs: {nak.checked_pairs}")
+    return cert.verdict, params, ["[certificate]", format_certificate(cert, A.algebra()), *tail]
 
 
-def run_qweyl_transfer(args) -> tuple[str, list[str]]:
+def run_qweyl_transfer(args):
     W = quantum_weyl(args.ell, args.p, seed=args.seed)
     plane = quantum_plane_of_weyl(W)
     graded = ell_centre_extension(plane.algebra(), args.ell)
@@ -154,37 +125,30 @@ def run_qweyl_transfer(args) -> tuple[str, list[str]]:
     filtered = ell_centre_extension(W, args.ell)
     filtered = filtered.with_form(lift_form(filtered, graded, rng=rng))
     filtered_cert = verify_frobenius(filtered, rng=rng)
+    rank_equal = graded_cert.rank == filtered_cert.rank
+    degree_equal = graded_cert.phi_degree == filtered_cert.phi_degree
     ok = (
         graded_cert.verdict == "frobenius"
         and filtered_cert.verdict == "frobenius"
-        and graded_cert.rank == filtered_cert.rank
-        and graded_cert.phi_degree == filtered_cert.phi_degree
+        and rank_equal
+        and degree_equal
     )
-    outcome = "frobenius" if ok else "not-frobenius"
-    params = {
-        "command": "qweyl-transfer",
-        "p": W.field.p,
-        "ell": args.ell,
-        "seed": args.seed,
-        "zeta": W.field.zeta,
-    }
-    lines = _config_lines(params)
-    lines += _result_lines("qweyl-transfer", outcome)
-    lines.append("[graded-certificate]")
-    lines.append(format_certificate(graded_cert, plane.algebra()))
-    lines.append("[filtered-certificate]")
-    lines.append(format_certificate(filtered_cert, W))
-    lines.append("[transfer]")
-    lines.append(f"rank_equal: {str(graded_cert.rank == filtered_cert.rank).lower()}")
-    lines.append(
-        f"degree_equal: {str(graded_cert.phi_degree == filtered_cert.phi_degree).lower()}"
-    )
-    lines.append("[gram]")
-    lines.append(format_gram_block(gram_matrix(filtered), W))
-    return outcome, lines
+    params = {"p": W.field.p, "ell": args.ell, "seed": args.seed, "zeta": W.field.zeta}
+    body = [
+        "[graded-certificate]",
+        format_certificate(graded_cert, plane.algebra()),
+        "[filtered-certificate]",
+        format_certificate(filtered_cert, W),
+        "[transfer]",
+        f"rank_equal: {str(rank_equal).lower()}",
+        f"degree_equal: {str(degree_equal).lower()}",
+        "[gram]",
+        format_gram_block(gram_matrix(filtered), W),
+    ]
+    return "frobenius" if ok else "not-frobenius", params, body
 
 
-def run_rees_demo(args) -> tuple[str, list[str]]:
+def run_rees_demo(args):
     W = quantum_weyl(args.ell, args.p, seed=args.seed)
     ext = ell_centre_extension(W, args.ell)
     window = GroupElement((args.window,)) if args.window is not None else None
@@ -201,27 +165,25 @@ def run_rees_demo(args) -> tuple[str, list[str]]:
     except FrobexError as exc:
         freeness = f"fail ({exc})"
     ok = cert.verdict == "frobenius" and all(v == "match" for v in reductions.values())
-    outcome = "frobenius" if ok else "not-frobenius"
     params = {
-        "command": "rees-demo",
         "p": W.field.p,
         "ell": args.ell,
         "seed": args.seed,
         "window": RA.window.coords[0],
         "zeta": W.field.zeta,
     }
-    lines = _config_lines(params)
-    lines += _result_lines("rees-demo", outcome)
-    lines.append("[certificate]")
-    lines.append(format_certificate(cert, RA.algebra))
-    lines.append("[reductions]")
-    lines.append(f"m0_table: {reductions['m0']}")
-    lines.append(f"m1_table: {reductions['m1']}")
-    lines.append(f"cone_freeness: {freeness}")
-    return outcome, lines
+    body = [
+        "[certificate]",
+        format_certificate(cert, RA.algebra),
+        "[reductions]",
+        f"m0_table: {reductions['m0']}",
+        f"m1_table: {reductions['m1']}",
+        f"cone_freeness: {freeness}",
+    ]
+    return "frobenius" if ok else "not-frobenius", params, body
 
 
-def run_grassmannian_census(args) -> tuple[str, list[str]]:
+def run_grassmannian_census(args):
     scalars = args.scalars
     s_matrix = alternate_s_matrix() if scalars == "alt" else default_s_matrix()
     t_exp = args.t
@@ -232,7 +194,6 @@ def run_grassmannian_census(args) -> tuple[str, list[str]]:
     GrGrassmannian(fld, s_matrix, t_exp)  # validates the configuration
     report = degree_census(args.ell, s_matrix=s_matrix, t_exp=t_exp)
     params = {
-        "command": "grassmannian-census",
         "p": args.p,
         "ell": args.ell,
         "seed": args.seed,
@@ -240,19 +201,19 @@ def run_grassmannian_census(args) -> tuple[str, list[str]]:
         "s_matrix": _fmt_matrix(s_matrix),
         "t": t_exp,
     }
-    lines = _config_lines(params)
-    lines += _result_lines("grassmannian-census", report.verdict)
-    lines.append("[census]")
-    lines.append(report.format())
-    return report.verdict, lines
+    return report.verdict, params, ["[census]", report.format()]
 
 
-RUNNERS = {
-    "qas-verify": run_qas_verify,
-    "qweyl-transfer": run_qweyl_transfer,
-    "rees-demo": run_rees_demo,
-    "grassmannian-census": run_grassmannian_census,
-    "nakayama": run_nakayama,
+# name -> (runner, expected outcome, help); the runner returns the outcome,
+# the [config] parameters other than the command, and the report body
+COMMANDS = {
+    "qas-verify": (run_qas_verify, "frobenius", "certify quantum affine space"),
+    "nakayama": (run_nakayama, "frobenius", "compute the Nakayama automorphism"),
+    "qweyl-transfer": (run_qweyl_transfer, "frobenius", "filtered lift on the q-Weyl fixture"),
+    "rees-demo": (run_rees_demo, "frobenius", "Rees algebra transfer and reductions"),
+    "grassmannian-census": (
+        run_grassmannian_census, "not-frobenius", "degree census of gr Gr(2,4)"
+    ),
 }
 
 
@@ -270,35 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify and refute Frobenius extensions of quantum algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (_, _, help_text) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--ell", type=int, default=3)
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--config", type=str, default=None)
-
-    for name, help_text in (
-        ("qas-verify", "certify quantum affine space"),
-        ("nakayama", "compute the Nakayama automorphism"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        common(sp)
-        sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--degrees", type=str, default=None)
-        sp.add_argument("--cmatrix", type=str, default=None)
-
-    sp = sub.add_parser("qweyl-transfer", help="filtered lift on the q-Weyl fixture")
-    common(sp)
-
-    sp = sub.add_parser("rees-demo", help="Rees algebra transfer and reductions")
-    common(sp)
-    sp.add_argument("--window", type=int, default=None)
-
-    sp = sub.add_parser("grassmannian-census", help="degree census of gr Gr(2,4)")
-    common(sp)
-    sp.add_argument("--scalars", choices=("default", "alt"), default="default")
-    sp.add_argument("--t", type=int, default=1)
+        if name in ("qas-verify", "nakayama"):
+            sp.add_argument("--n", type=int, default=2)
+            sp.add_argument("--degrees", type=str, default=None)
+            sp.add_argument("--cmatrix", type=str, default=None)
+        elif name == "rees-demo":
+            sp.add_argument("--window", type=int, default=None)
+        elif name == "grassmannian-census":
+            sp.add_argument("--scalars", choices=("default", "alt"), default="default")
+            sp.add_argument("--t", type=int, default=1)
     return parser
 
 
@@ -315,14 +263,20 @@ def _apply_config_file(args) -> None:
     args.p = cfg.p
     args.ell = cfg.ell
     if hasattr(args, "n"):
+        if cfg.straightenings:
+            raise ConfigError(
+                f"{args.command} presents quantum affine space, which has no "
+                "straightening relations"
+            )
         args.n = len(cfg.names)
         args.degrees = "; ".join(
             " ".join(str(c) for c in d.coords) for d in cfg.degrees
         )
         if cfg.cmatrix is not None:
             args.cmatrix = _fmt_matrix(cfg.cmatrix)
-    if args.command == "grassmannian-census" and cfg.cmatrix is not None:
-        args.s_matrix = cfg.cmatrix
+    if args.command == "grassmannian-census":
+        if cfg.cmatrix is not None:
+            args.s_matrix = cfg.cmatrix
         if cfg.straightenings:
             lhs, t_exp, rhs = cfg.straightenings[0]
             if lhs != ("x3", "x4") or rhs != ("x2", "x5"):
@@ -352,7 +306,8 @@ def main(argv: Optional[list] = None) -> int:
                 raise ConfigError(f"FROBEX_SEED must be an integer: {env_seed!r}") from exc
         if args.p is None:
             args.p = default_prime(args.ell)
-        outcome, lines = RUNNERS[args.command](args)
+        runner, expected, _ = COMMANDS[args.command]
+        outcome, params, body = runner(args)
     except FrobexError as exc:
         print(f"frobex: input error: {exc}", file=sys.stderr)
         out = args.out or f"frobex-{args.command}.txt"
@@ -363,6 +318,16 @@ def main(argv: Optional[list] = None) -> int:
             pass
         return 2
 
+    params["command"] = args.command
+    lines = [
+        "[config]",
+        *(f"{key}: {params[key]}" for key in sorted(params)),
+        "[result]",
+        f"expectation: {expected}",
+        f"outcome: {outcome}",
+        f"match: {'true' if outcome == expected else 'false'}",
+        *body,
+    ]
     out = args.out or f"frobex-{args.command}.txt"
     text = "\n".join(lines) + "\n"
     try:
@@ -371,7 +336,6 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"frobex: input error: cannot write report: {exc}", file=sys.stderr)
         return 2
-    expected = EXPECTATIONS[args.command]
     print(f"frobex: {args.command}: {outcome} (report: {out})")
     return 0 if outcome == expected else 1
 

@@ -128,25 +128,22 @@ class ProjectionForm:
     decomposition (the lift recipe is literally 'same slot, new engine'),
     and the Rees form projects onto the slot (s, deg s) of the Rees engine.
     The dual basis functional of basis element b is the projection onto
-    slot b with degree -deg(b); other forms leave the degree as None.
-    Every missing slot reads as one zero held by the form.
+    slot b.  Every missing slot reads as one zero held by the form; a
+    form's degree is what ``mapping_degree`` measures.
     """
 
-    __slots__ = ("engine", "slot", "degree", "zero")
+    __slots__ = ("engine", "slot", "zero")
 
-    def __init__(self, engine, slot, degree: Optional[GroupElement] = None):
+    def __init__(self, engine, slot):
         self.engine = engine
         self.slot = slot
-        self.degree = degree
         self.zero = engine.algebra.zero()
 
     def __call__(self, y: Element) -> Element:
         return self.engine.decompose(y).get(self.slot, self.zero)
 
     def __repr__(self):
-        if self.degree is None:
-            return f"ProjectionForm(slot={self.slot})"
-        return f"ProjectionForm(slot={self.slot}, degree={self.degree})"
+        return f"ProjectionForm(slot={self.slot})"
 
 
 class CentralFreeExtension:
@@ -504,7 +501,7 @@ def _f1_search(E: CentralFreeExtension, M: list[list[Element]]):
     order = range(len(basis))
     for i, b in enumerate(basis):
         candidates = order
-        k = pos.get(getattr(E.engine, "complement", lambda _b: None)(b))
+        k = pos.get(E.engine.complement(b))
         if k is not None:
             candidates = [k, *(j for j in order if j != k)]
         row = M[i]
@@ -522,9 +519,7 @@ def _f1_search(E: CentralFreeExtension, M: list[list[Element]]):
 
 
 def verify_frobenius(
-    E: CentralFreeExtension,
-    rng: Optional[random.Random] = None,
-    points: int = 20,
+    E: CentralFreeExtension, rng: Optional[random.Random] = None
 ) -> FrobeniusCertificate:
     """Run the full certification pipeline and assemble a certificate.
 
@@ -547,7 +542,7 @@ def verify_frobenius(
     # pointers
     gram = gram_matrix(E)
     witnesses, missing = _f1_search(E, gram)
-    status = det_is_unit(gram, E, phi_degree, rng=rng, points=points)
+    status = det_is_unit(gram, E, phi_degree, rng=rng)
 
     refutation = None
     notes = []
@@ -770,8 +765,7 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
 
 
 def dual_basis(E: CentralFreeExtension) -> tuple[ProjectionForm, ...]:
-    A = E.ambient
-    return tuple(ProjectionForm(E.engine, b, -A.degree_of(b)) for b in E.basis)
+    return tuple(ProjectionForm(E.engine, b) for b in E.basis)
 
 
 def check_same_products(A1: BasedAlgebra, A2: BasedAlgebra, indices) -> None:
@@ -824,8 +818,7 @@ def lift_form(
         return graded_ext.form
     if not isinstance(graded_ext.form, ProjectionForm):
         raise UnsupportedStructure("can only lift slot-projection forms")
-    form = graded_ext.form
-    return ProjectionForm(E_filtered.engine, form.slot, form.degree)
+    return ProjectionForm(E_filtered.engine, graded_ext.form.slot)
 
 
 # ---------------------------------------------------------------------------
@@ -872,11 +865,13 @@ def format_certificate(
     return "\n".join(lines)
 
 
-def format_gram_block(
-    M: list[list[Element]], A: BasedAlgebra, max_rank: int = 32
-) -> str:
-    if len(M) > max_rank:
-        return f"(gram matrix omitted, rank {len(M)} > {max_rank})"
+# Gram matrices of larger rank are not printed in reports.
+GRAM_BLOCK_MAX_RANK = 32
+
+
+def format_gram_block(M: list[list[Element]], A: BasedAlgebra) -> str:
+    if len(M) > GRAM_BLOCK_MAX_RANK:
+        return f"(gram matrix omitted, rank {len(M)} > {GRAM_BLOCK_MAX_RANK})"
     out = []
     for row in M:
         cells = ["." if el.is_zero() else A.format_element(el) for el in row]

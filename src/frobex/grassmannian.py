@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algcore import DEFAULT_STEP_BUDGET, BasedAlgebra, Element, RootField
+from .algcore import check_commutation_matrix, exponent_algebra, weighted_exponents
 from .errors import BudgetExceeded, DimensionMismatch, DomainError
 from .grpdeg import DegreeMultiset, GroupElement, multiset_symmetry_witness
 
@@ -91,12 +92,7 @@ class GrGrassmannian:
     def _validate(self):
         if len(self.s) != N_GENS or any(len(r) != N_GENS for r in self.s):
             raise DimensionMismatch("commutation matrix must be 6x6")
-        for i in range(N_GENS):
-            if self.s[i][i] != 0:
-                raise DomainError("commutation matrix has nonzero diagonal")
-            for j in range(N_GENS):
-                if self.s[i][j] != -self.s[j][i]:
-                    raise DomainError("commutation matrix is not antisymmetric")
+        check_commutation_matrix(self.s)
         # the straightening relation must be homogeneous for the census grading
         lhs_deg = CENSUS_DEGREES[_LHS[0]] + CENSUS_DEGREES[_LHS[1]]
         rhs_deg = CENSUS_DEGREES[_RHS[0]] + CENSUS_DEGREES[_RHS[1]]
@@ -120,32 +116,9 @@ class GrGrassmannian:
             return Element(fld, {exps: fld.zeta_pow(k)})
 
         names = tuple(f"x{i + 1}" for i in range(N_GENS))
-
-        def index_str(exps):
-            if not any(exps):
-                return "1"
-            parts = []
-            for nm, e in zip(names, exps):
-                if e == 1:
-                    parts.append(nm)
-                elif e > 1:
-                    parts.append(f"{nm}^{e}")
-            return "*".join(parts)
-
-        return BasedAlgebra(
-            field=fld,
-            mode="graded",
-            one=(0,) * N_GENS,
-            degree_of=lambda exps: GroupElement(
-                (sum(e * w for e, w in zip(exps, CENSUS_DEGREES)),)
-            ),
-            mul_indices=mul,
-            index_str=index_str,
-            generator_indices=tuple(
-                tuple(1 if j == i else 0 for j in range(N_GENS)) for i in range(N_GENS)
-            ),
-            generator_names=names,
-            name=f"grGr24(ell={fld.ell}, p={fld.p})",
+        return exponent_algebra(
+            fld, names, mul, lambda exps: GroupElement((census_degree(exps),)),
+            f"grGr24(ell={fld.ell}, p={fld.p})",
         )
 
     def algebra(self) -> BasedAlgebra:
@@ -272,20 +245,9 @@ def ell_centre_module_basis(ell: int) -> tuple[tuple[int, ...], ...]:
 def standard_monomials_by_degree(cutoff: int) -> dict[int, list[tuple[int, ...]]]:
     """All standard monomials of census degree at most cutoff, by degree."""
     buckets: dict[int, list] = {d: [] for d in range(cutoff + 1)}
-
-    def rec(i: int, remaining: int, prefix: tuple):
-        if i == N_GENS:
-            exps = prefix
-            if is_standard(exps):
-                buckets[cutoff - remaining].append(exps)
-            return
-        w = CENSUS_DEGREES[i]
-        for e in range(remaining // w + 1):
-            rec(i + 1, remaining - e * w, prefix + (e,))
-
-    rec(0, cutoff, ())
-    for d in buckets:
-        buckets[d].sort()
+    for exps in weighted_exponents(CENSUS_DEGREES, cutoff):
+        if is_standard(exps):
+            buckets[census_degree(exps)].append(exps)
     return buckets
 
 

@@ -18,9 +18,10 @@ against a word-rewriting oracle rather than assumed.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Optional
 
 from .algcore import BasedAlgebra, Element, RootField, default_prime
+from .algcore import check_commutation_matrix, exponent_algebra
 from .errors import DimensionMismatch, DomainError
 from .grpdeg import GroupElement, in_positive_cone
 
@@ -60,12 +61,7 @@ class QuantumAffineSpace:
         n, C = self.n, self.cmatrix
         if any(len(row) != n for row in C):
             raise DimensionMismatch("commutation matrix is not square")
-        for i in range(n):
-            if C[i][i] != 0:
-                raise DomainError("commutation matrix has nonzero diagonal")
-            for j in range(n):
-                if C[i][j] != -C[j][i]:
-                    raise DomainError("commutation matrix is not antisymmetric")
+        check_commutation_matrix(C)
         if len(self.degrees) != n:
             raise DimensionMismatch("need one degree vector per generator")
         dims = {len(d) for d in self.degrees}
@@ -89,58 +85,18 @@ class QuantumAffineSpace:
 
     def _build_algebra(self) -> BasedAlgebra:
         fld = self.field
-        cmatrix = self.cmatrix
-        names = tuple(f"x{i + 1}" for i in range(self.n))
 
         def mul(a, b):
             k, exps = monomial_product(self, a, b)
             # zeta is a unit, so its power is never 0 mod p
             return Element.reduced(fld, {exps: fld.zeta_pow(k)})
 
-        def index_str(exps):
-            if not any(exps):
-                return "1"
-            parts = []
-            for nm, e in zip(names, exps):
-                if e == 1:
-                    parts.append(nm)
-                elif e > 1:
-                    parts.append(f"{nm}^{e}")
-            return "*".join(parts)
-
-        enumerate_up_to = None
+        weights = None
         if self.degree_dim == 1 and all(d.coords[0] > 0 for d in self.degrees):
-            weights = [d.coords[0] for d in self.degrees]
-
-            def enumerate_up_to(bound: GroupElement) -> Iterator[tuple]:
-                limit = bound.coords[0]
-
-                def rec(i, remaining):
-                    if i == len(weights):
-                        yield ()
-                        return
-                    w = weights[i]
-                    for e in range(remaining // w + 1):
-                        for rest in rec(i + 1, remaining - e * w):
-                            yield (e, *rest)
-
-                yield from rec(0, limit)
-
-        gens = tuple(
-            tuple(1 if j == i else 0 for j in range(self.n)) for i in range(self.n)
-        )
-        return BasedAlgebra(
-            field=fld,
-            mode="graded",
-            one=(0,) * self.n,
-            degree_of=self.monomial_degree,
-            mul_indices=mul,
-            index_str=index_str,
-            generator_indices=gens,
-            generator_names=names,
-            name=f"qas(n={self.n}, ell={fld.ell}, p={fld.p})",
-            enumerate_up_to=enumerate_up_to,
-        )
+            weights = tuple(d.coords[0] for d in self.degrees)
+        names = tuple(f"x{i + 1}" for i in range(self.n))
+        name = f"qas(n={self.n}, ell={fld.ell}, p={fld.p})"
+        return exponent_algebra(fld, names, mul, self.monomial_degree, name, weights=weights)
 
     def algebra(self) -> BasedAlgebra:
         return self._algebra
@@ -262,9 +218,7 @@ def make_qas(
 
 def from_config(cfg, seed: int = 0) -> QuantumAffineSpace:
     """Build quantum affine space from a parsed algebra presentation."""
-    fld = RootField(cfg.p, cfg.ell, seed=seed)
-    cmatrix = cfg.cmatrix if cfg.cmatrix is not None else standard_cmatrix(len(cfg.names))
-    return QuantumAffineSpace(fld, cmatrix, cfg.degrees)
+    return make_qas(len(cfg.names), cfg.ell, cfg.p, cfg.cmatrix, cfg.degrees, seed=seed)
 
 
 def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgebra:
@@ -326,35 +280,8 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
             g = degrees[idx] = GroupElement((idx[0] + idx[1],))
         return g
 
-    def index_str(idx):
-        a, b = idx
-        if a == 0 and b == 0:
-            return "1"
-        parts = []
-        if a:
-            parts.append("y" if a == 1 else f"y^{a}")
-        if b:
-            parts.append("x" if b == 1 else f"x^{b}")
-        return "*".join(parts)
-
-    def enumerate_up_to(bound: GroupElement) -> Iterator[tuple]:
-        limit = bound.coords[0]
-        for a in range(limit + 1):
-            for b in range(limit - a + 1):
-                yield (a, b)
-
-    return BasedAlgebra(
-        field=fld,
-        mode="filtered",
-        one=(0, 0),
-        degree_of=degree_of,
-        mul_indices=mul,
-        index_str=index_str,
-        generator_indices=((1, 0), (0, 1)),
-        generator_names=("y", "x"),
-        name=f"qweyl(ell={ell}, p={fld.p})",
-        enumerate_up_to=enumerate_up_to,
-    )
+    name = f"qweyl(ell={ell}, p={fld.p})"
+    return exponent_algebra(fld, ("y", "x"), mul, degree_of, name, "filtered", (1, 1))
 
 
 def quantum_plane_of_weyl(W: BasedAlgebra) -> QuantumAffineSpace:

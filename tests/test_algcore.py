@@ -21,6 +21,7 @@ from frobex.algcore import (
     multiply,
     parse_algebra_config,
     top_symbol,
+    weighted_exponents,
 )
 from frobex.errors import ConfigError, DomainError
 from frobex.grpdeg import NEG_INF, GroupElement
@@ -236,3 +237,27 @@ def test_top_symbol_multiplicative_without_cancellation():
         tops = multiply(G, top_symbol(W, a), top_symbol(W, b))
         if not tops.is_zero():
             assert tops == top_symbol(W, multiply(W, a, b))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4),
+    st.integers(min_value=0, max_value=9),
+)
+def test_weighted_exponents_matches_filtered_product(weights, limit):
+    ranges = [range(limit // w + 1) for w in weights]
+    expected = [
+        e for e in itertools.product(*ranges)
+        if sum(x * w for x, w in zip(e, weights)) <= limit
+    ]
+    # itertools.product runs in lexicographic order, so this checks the order too
+    assert list(weighted_exponents(tuple(weights), limit)) == expected
+
+
+def test_exponent_algebra_formats_monomials():
+    W = quantum_weyl(3, 7)
+    assert [W.index_str(i) for i in ((0, 0), (1, 0), (0, 2), (2, 1))] == [
+        "1", "y", "x^2", "y^2*x",
+    ]
+    Q = make_qas(3, 2, 5).algebra()
+    assert Q.index_str((1, 0, 3)) == "x1*x3^3"
+    assert Q.generator_indices == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -162,6 +162,39 @@ def test_census_config_rejects_misshapen_rule(tmp_path):
     assert code == 2
 
 
+def test_census_config_rule_without_cmatrix_sets_t(tmp_path):
+    cfg = tmp_path / "rule_only.cfg"
+    cfg.write_text(
+        "[field]\np = 7\nell = 3\n\n"
+        "[generators]\nnames = x1 x2 x3 x4 x5 x6\n"
+        "degrees = 2; 1; 2; 1; 2; 2\n\n"
+        "[relations]\nstraighten = x3 x4 -> 2 x2 x5\n"
+    )
+    code, text = run(tmp_path, "grassmannian-census", "--config", str(cfg))
+    assert code == 0
+    assert "t: 2" in text
+    assert "scalars: default" in text
+    cfg.write_text(cfg.read_text().replace("x3 x4 -> 2 x2 x5", "x1 x2 -> 3 x2 x1"))
+    code, _ = run(tmp_path, "grassmannian-census", "--config", str(cfg))
+    assert code == 2
+
+
+def test_qas_config_with_straightening_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "qas_rule.cfg"
+    cfg.write_text(
+        "[field]\np = 7\nell = 3\n\n"
+        "[generators]\nnames = x1 x2\ndegrees = 1; 1\n\n"
+        "[relations]\nc = 0 1; -1 0\nstraighten = x1 x2 -> 1 x2 x1\n"
+    )
+    for command in ("qas-verify", "nakayama"):
+        code, text = run(tmp_path, command, "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("frobex: input error: ")
+        assert "no straightening relations" in err
+        assert "error:" in text
+
+
 def test_malformed_cmatrix_exit_two(tmp_path, capsys):
     code, text = run(tmp_path, "qas-verify", "--ell", "3", "--p", "7", "--cmatrix", "0 a; 1 0")
     assert code == 2

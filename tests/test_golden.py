@@ -3,7 +3,8 @@
 The files under tests/golden/ hold the CLI's reports as they stood when
 each case was added; a change meant to leave reports alone must keep them
 identical.  To add a case, run the command with ``--out`` into
-tests/golden/ and list it here with its exit code.
+tests/golden/ and list it here with its exit code; a ``--config`` case
+keeps its .cfg file beside its golden report.
 """
 
 from pathlib import Path
@@ -23,6 +24,18 @@ CASES = {
     "rees-demo_ell3": (["rees-demo", "--ell", "3"], 0),
     "grassmannian-census_ell3": (["grassmannian-census", "--ell", "3"], 0),
     "qas-verify_malformed_cmatrix": (["qas-verify", "--cmatrix", "0 a; 1 0"], 2),
+    "qas-verify_config": (
+        ["qas-verify", "--config", str(GOLDEN / "qas-verify_config.cfg")], 0
+    ),
+    "grassmannian-census_config": (
+        ["grassmannian-census", "--config", str(GOLDEN / "grassmannian-census_config.cfg")],
+        0,
+    ),
+    "nakayama_n3_ell3_cmatrix": (
+        ["nakayama", "--n", "3", "--ell", "3", "--degrees", "1; 2; 3",
+         "--cmatrix", "0 1 2; -1 0 1; -2 -1 0"],
+        0,
+    ),
 }
 
 

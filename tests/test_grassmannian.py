@@ -238,3 +238,11 @@ def test_product_pass_reports_an_unreached_target(G2):
     x2, x4 = (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)
     pairs = [((0,) * 6, x2)]
     assert _product_pass(G2, pairs, [x4, x2]) == (None, x4)
+
+
+def test_monomial_formatting(G2):
+    A = G2.algebra()
+    assert A.index_str((1, 0, 2, 0, 0, 1)) == "x1*x3^2*x6"
+    assert A.index_str((0, 0, 0, 0, 0, 0)) == "1"
+    assert A.index_str((0, 3, 0, 1, 0, 0)) == "x2^3*x4"
+    assert A.format_element(A.monomial((0, 1, 0, 0, 1, 0), 3)) == "3*x2*x5"

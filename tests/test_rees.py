@@ -79,6 +79,18 @@ def test_cone_freeness_spot_check(rees3):
     check_cone_freeness(rees3, g1(6))
 
 
+def test_cone_freeness_rejects_product_without_cone_shift(rees3):
+    def mul(i, j):
+        # keeps the left factor's cone position instead of adding both
+        (b, g), (c, _h) = i, j
+        prod = rees3.base.mul_indices(b, c)
+        return Element(rees3.field, {(t, g): v for t, v in prod.terms.items()})
+
+    broken = replace(rees3, algebra=replace(rees3.algebra, mul_indices=mul))
+    with pytest.raises(DomainError, match="does not factor through the cone"):
+        check_cone_freeness(broken, g1(3))
+
+
 def test_reduction_tables_match(rees3):
     assert check_reduction_tables(rees3, ("m0", "m1"), g1(6)) == {"m0": None, "m1": None}
 
