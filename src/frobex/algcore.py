@@ -300,12 +300,10 @@ class BasedAlgebra:
 def weighted_exponents(weights, limit: int) -> Iterator[tuple]:
     """Every exponent tuple e with sum(e_i * w_i) <= limit, in lexicographic
     order; the weights must be positive."""
-    if not weights:
-        yield ()
-        return
-    for e in range(limit // weights[0] + 1):
-        for tail in weighted_exponents(weights[1:], limit - e * weights[0]):
-            yield (e, *tail)
+    prefixes = [((), limit)]  # (exponents so far, degree left)
+    for w in weights:
+        prefixes = [(p + (e,), rest - e * w) for p, rest in prefixes for e in range(rest // w + 1)]
+    return iter([p for p, _ in prefixes])
 
 
 def exponent_algebra(

@@ -40,6 +40,7 @@ from .frobenius import (
     verify_frobenius,
 )
 from .grassmannian import (
+    CENSUS_DEGREES,
     GrGrassmannian,
     alternate_s_matrix,
     default_s_matrix,
@@ -68,7 +69,7 @@ def _build_qas(args) -> QuantumAffineSpace:
             f"n = {n} but cmatrix has {len(cmatrix)} rows and "
             f"{len(degrees)} degree vectors"
         )
-    return make_qas(n, args.ell, args.p, cmatrix, degrees, seed=args.seed)
+    return make_qas(n, args.ell, args.p, cmatrix, degrees, seed=args.seed, names=args.names)
 
 
 def _fmt_matrix(mat) -> str:
@@ -239,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--config", type=str, default=None)
         if name in ("qas-verify", "nakayama"):
+            sp.set_defaults(names=None)  # x1..xn unless a config names them
             sp.add_argument("--n", type=int, default=2)
             sp.add_argument("--degrees", type=str, default=None)
             sp.add_argument("--cmatrix", type=str, default=None)
@@ -250,8 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_generators(cfg, command: str, what: str, names: tuple, weights: tuple) -> None:
+    """A command whose algebra is fixed accepts only that algebra's own
+    generator names and degrees in a config."""
+    if cfg.names != names:
+        raise ConfigError(
+            f"{command} presents {what} on generators {' '.join(names)!r}, "
+            f"not {' '.join(cfg.names)!r}"
+        )
+    given = "; ".join(" ".join(map(str, d.coords)) for d in cfg.degrees)
+    if given != "; ".join(map(str, weights)):
+        raise ConfigError(
+            f"{command} presents {what} with degrees {'; '.join(map(str, weights))!r}, "
+            f"not {given!r}"
+        )
+
+
 def _apply_config_file(args) -> None:
-    """Config file values override flags, per the interface contract."""
+    """Config file values override flags, per the interface contract; a
+    line the command cannot honour is an input error."""
     if not args.config:
         return
     try:
@@ -274,7 +293,15 @@ def _apply_config_file(args) -> None:
         )
         if cfg.cmatrix is not None:
             args.cmatrix = _fmt_matrix(cfg.cmatrix)
-    if args.command == "grassmannian-census":
+        args.names = cfg.names
+    elif args.command == "grassmannian-census":
+        _check_generators(
+            cfg, args.command, "gr Gr(2,4)", tuple(f"x{i + 1}" for i in range(6)), CENSUS_DEGREES
+        )
+        if len(cfg.straightenings) > 1:
+            raise ConfigError(
+                f"the census takes one straightening rule, not {len(cfg.straightenings)}"
+            )
         if cfg.cmatrix is not None:
             args.s_matrix = cfg.cmatrix
         if cfg.straightenings:
@@ -285,6 +312,13 @@ def _apply_config_file(args) -> None:
                     "'x3 x4 -> k x2 x5'"
                 )
             args.t = t_exp
+    else:  # qweyl-transfer, rees-demo
+        _check_generators(cfg, args.command, "the q-Weyl fixture", ("y", "x"), (1, 1))
+        if cfg.cmatrix is not None or cfg.straightenings:
+            raise ConfigError(
+                f"{args.command} presents the q-Weyl fixture, whose relation "
+                "x*y = q*y*x + 1 is fixed: a config has no 'c' or 'straighten' line"
+            )
 
 
 def main(argv: Optional[list] = None) -> int:

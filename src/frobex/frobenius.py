@@ -605,7 +605,8 @@ def nakayama_on_generators(
     finite linear system over S.  It is solved directly when the Gram
     matrix is a generalized permutation with unit pivots, and through the
     F_p inverse when the Gram matrix is scalar.  The solution is then
-    revalidated on random pairs, extending nu multiplicatively.
+    revalidated on random pairs, extending nu multiplicatively through one
+    table of generator powers nu(x_k)^e built for this solve.
     """
     if certificate is None:
         certificate = verify_frobenius(E)
@@ -661,11 +662,12 @@ def nakayama_on_generators(
     trivial = all(
         images_by_index[g] == A.monomial(g) for g in A.generator_indices
     )
+    nu = automorphism(A, images_by_index)  # one power table for every pair
     checked = 0
     for _ in range(checks):
         q = random_element(E, rng)
         r = random_element(E, rng)
-        nu_r = apply_automorphism(A, images_by_index, r)
+        nu_r = nu(r)
         lhs = E.form(multiply(A, q, r))
         rhs_val = E.form(multiply(A, nu_r, q))
         if lhs != rhs_val:
@@ -676,37 +678,43 @@ def nakayama_on_generators(
     return NakayamaResult(images, images_by_index, trivial, checked)
 
 
-def apply_automorphism(A: BasedAlgebra, images_by_index: dict, el: Element) -> Element:
-    """Extend generator images multiplicatively to a sparse element.
+def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], Element]:
+    """Extend generator images multiplicatively to sparse elements.
 
     Basis indices are exponent tuples in generator order, so the monomial
-    for an index is the ordered product of generator powers.
+    for an index is the ordered product of generator powers.  The returned
+    map owns its table of generator powers nu(x_k)^e: each power is
+    multiplied out once, however many elements the map is applied to.
     """
-    power_cache: dict = {}
+    powers: dict = {}
 
-    def gen_power(k: int, e: int) -> Element:
+    def gen_power(k: int, e: int) -> Element:  # e >= 1
         key = (k, e)
-        if key not in power_cache:
-            if e == 0:
-                power_cache[key] = A.one_element()
-            else:
-                power_cache[key] = multiply(
-                    A, gen_power(k, e - 1), images_by_index[A.generator_indices[k]]
-                )
-        return power_cache[key]
+        if key not in powers:
+            image = images_by_index[A.generator_indices[k]]
+            powers[key] = image if e == 1 else multiply(A, gen_power(k, e - 1), image)
+        return powers[key]
 
-    total = A.zero()
-    for idx, c in el.terms.items():
-        if not all(isinstance(e, int) for e in idx):
-            raise UnsupportedStructure(
-                "automorphism extension needs plain exponent-tuple indices"
-            )
-        img = A.one_element()
-        for k, e in enumerate(idx):
-            if e:
-                img = multiply(A, img, gen_power(k, e))
-        total = total + c * img
-    return total
+    def apply(el: Element) -> Element:
+        total = A.zero()
+        for idx, c in el.terms.items():
+            if not all(isinstance(e, int) for e in idx):
+                raise UnsupportedStructure(
+                    "automorphism extension needs plain exponent-tuple indices"
+                )
+            img = None
+            for k, e in enumerate(idx):
+                if e:
+                    img = gen_power(k, e) if img is None else multiply(A, img, gen_power(k, e))
+            total = total + c * (img if img is not None else A.one_element())
+        return total
+
+    return apply
+
+
+def apply_automorphism(A: BasedAlgebra, images_by_index: dict, el: Element) -> Element:
+    """The automorphism with these generator images, applied to one element."""
+    return automorphism(A, images_by_index)(el)
 
 
 def random_element(

@@ -25,21 +25,26 @@ The census grading puts x2, x4 in degree 1 and the other four generators in
 degree 2; the distinguished family over the ell-centre consists of the
 standard monomials with all exponents below ell that satisfy
 k2 + ki < ell or ki + k5 < ell (ki the exponent of whichever of x3, x4 is
-present).  Its degree multiset fails the symmetry obstruction for every
-ell >= 2, which is the refutation this module computes.
+present).  The census counts it by degree from generating polynomials.
 
 The family is not a free basis over the subring Z0 generated by the six
 ell-th powers.  The Hilbert series are H_R = (1 - t^3)/((1 - t)^2 (1 - t^2)^4)
 and H_Z0(t) = H_R(t^ell), so R has generic rank ell^5 over Z0: 32 at
 ell = 2 and 243 at ell = 3, against a family of 40 and 315 elements.  The
-quotient H_R / H_Z0 is not a polynomial (its t^8 coefficient is -2 at
-ell = 2), so by the graded Nakayama lemma R has no free basis over Z0 at
-all.  verify_freeness_window exhibits this: the sweep first overcounts at
-census degree 5 for ell = 2, where x2^2 * (x4 x5) = x4^2 * (x2 x3).
+quotient H_R / H_Z0 has negative coefficients (its t^8 coefficient is -2
+at ell = 2), so by the graded Nakayama lemma R is not projective over Z0
+at all, hence not a Frobenius extension of Z0: this is the refutation the
+census computes, dividing series counted over the standard monomials.  The
+family's degree multiset also fails the symmetry obstruction, but that
+obstruction is stated for a free basis, so the census reports it for
+information only.  verify_freeness_window exhibits the failure of
+freeness: the sweep first overcounts at census degree 5 for ell = 2,
+where x2^2 * (x4 x5) = x4^2 * (x2 x3).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -212,7 +217,7 @@ def is_standard(exps) -> bool:
 
 
 def census_degree(exps) -> int:
-    return sum(e * w for e, w in zip(exps, CENSUS_DEGREES))
+    return sum(map(operator.mul, exps, CENSUS_DEGREES))
 
 
 def ell_centre_module_basis(ell: int) -> tuple[tuple[int, ...], ...]:
@@ -253,22 +258,97 @@ def standard_monomials_by_degree(cutoff: int) -> dict[int, list[tuple[int, ...]]
 
 def central_standard_monomials(ell: int, cutoff: int) -> list[tuple[int, ...]]:
     """Standard monomials of the ell-centre (all exponents multiples of ell)
-    with census degree at most cutoff."""
-    out = []
-    inner = standard_monomials_by_degree(cutoff // ell)
-    for d, monos in inner.items():
-        for m in monos:
-            out.append(tuple(ell * e for e in m))
-    return sorted(out)
+    with census degree at most cutoff, in lexicographic order."""
+    return [
+        tuple([ell * e for e in m])
+        for m in weighted_exponents(CENSUS_DEGREES, cutoff // ell)
+        if is_standard(m)
+    ]
+
+
+def family_counts(ell: int) -> dict[int, int]:
+    """The distinguished family counted by census degree, as a product of
+    generating polynomials: x1 and x6 range freely over [0, ell), and for
+    each (k2, k5) the middle factor is 1 (neither x3 nor x4) plus x3^ki or
+    x4^ki for 1 <= ki < ell - min(k2, k5), which is the condition
+    k2 + ki < ell or ki + k5 < ell."""
+    if ell < 2:
+        raise DomainError("the basis enumeration needs ell >= 2")
+    w1, w2, w3, w4, w5, w6 = CENSUS_DEGREES
+    middle: dict[int, int] = {}
+    for k2 in range(ell):
+        for k5 in range(ell):
+            base = w2 * k2 + w5 * k5
+            middle[base] = middle.get(base, 0) + 1
+            for ki in range(1, ell - min(k2, k5)):
+                for w in (w3, w4):
+                    middle[base + w * ki] = middle.get(base + w * ki, 0) + 1
+    counts = middle
+    for w in (w1, w6):
+        free: dict[int, int] = {}
+        for d, c in counts.items():
+            for k in range(ell):
+                free[d + w * k] = free.get(d + w * k, 0) + c
+        counts = free
+    return counts
+
+
+def hilbert_series(terms: int) -> list[int]:
+    """The first `terms` coefficients of H_R, counting the standard
+    monomials one generator factor at a time: x1, x2, x5, x6 each divide by
+    1 - t^w, and since k3 * k4 = 0 the pair (x3, x4) contributes
+    1/(1 - t^w3) + 1/(1 - t^w4) - 1."""
+
+    def divide(series, w):
+        out = list(series)
+        for i in range(w, terms):
+            out[i] += out[i - w]
+        return out
+
+    series = [1] + [0] * (terms - 1)
+    for k, w in enumerate(CENSUS_DEGREES):
+        if k not in _LHS:
+            series = divide(series, w)
+    with_x3 = divide(series, CENSUS_DEGREES[_LHS[0]])
+    with_x4 = divide(series, CENSUS_DEGREES[_LHS[1]])
+    return [a + b - c for a, b, c in zip(with_x3, with_x4, series)]
+
+
+def freeness_obstruction(ell: int, terms: int) -> Optional[tuple[int, int]]:
+    """The first negative coefficient of H_R / H_Z0 as (degree, coefficient),
+    dividing the truncated series to `terms` terms; None if there is none.
+
+    If R were graded-free over Z0 with basis degrees D, then H_R = H_Z0 *
+    sum over d in D of t^d, and the quotient would have non-negative
+    coefficients.  A finitely generated graded projective module over a
+    connected graded ring is free (graded Nakayama lemma), so a negative
+    coefficient proves that R is not projective over Z0, hence not a
+    Frobenius extension of Z0.
+    """
+    h_r = hilbert_series(terms)
+    h_z = [0] * terms  # H_Z0, counted over its standard monomials
+    for z in central_standard_monomials(ell, terms - 1):
+        h_z[census_degree(z)] += 1
+    steps = [(k, c) for k, c in enumerate(h_z) if k and c]
+    quotient: list[int] = []
+    for n in range(terms):
+        q = h_r[n] - sum(c * quotient[n - k] for k, c in steps if k <= n)
+        if q < 0:
+            return n, q
+        quotient.append(q)
+    return None
 
 
 @dataclass
 class CensusReport:
     ell: int
     basis_size: int
-    counts: dict  # census degree -> number of basis elements
+    counts: dict  # census degree -> number of family elements
     max_degree: int
     symmetry_d: Optional[int]
+    # (degree, coefficient) of the first negative term of H_R / H_Z0
+    obstruction: Optional[tuple]
+    series_terms: int
     verdict: str
     paper_agreement: dict
     s_matrix: tuple = ()
@@ -285,6 +365,15 @@ class CensusReport:
         lines.append(
             f"symmetry_d: {self.symmetry_d if self.symmetry_d is not None else 'none'}"
         )
+        lines.append("symmetry_scope: family, not a free basis")
+        if self.obstruction is None:
+            lines.append(f"freeness_obstruction: none to degree {self.series_terms - 1}")
+        else:
+            d, c = self.obstruction
+            lines.append(
+                f"freeness_obstruction: coefficient {c} at t^{d} of H_R/H_Z0, "
+                "Z0 the subring of ell-th powers"
+            )
         lines.append(f"verdict: {self.verdict}")
         for key in sorted(self.paper_agreement):
             lines.append(
@@ -297,29 +386,28 @@ class CensusReport:
 def degree_census(
     ell: int, s_matrix=None, t_exp: Optional[int] = None
 ) -> CensusReport:
-    """Count the distinguished basis by census degree and test the symmetry
-    obstruction.
+    """Count the distinguished family by census degree and certify that R
+    is not a Frobenius extension of Z0, the subring of ell-th powers.
 
-    The basis set, hence the census and the verdict, does not involve the
-    commutation scalars at all; the optional configuration is recorded for
+    The verdict rests on the freeness obstruction alone: a negative
+    coefficient of H_R / H_Z0 within 12 * ell terms.  The symmetry witness
+    is computed on the family's degrees and reported for information only,
+    since the family is not a free basis.  None of this involves the
+    commutation scalars; the optional configuration is recorded for
     provenance so reports made under different scalars can be compared.
-    The agreement flags compare three published counts against the
-    enumeration: two elements in degree 1, top degree 8(ell-1), and an
-    empty level just below the top.  The verdict rests only on the witness
-    search over the full multiset, so a wrong published count is flagged
-    without affecting the conclusion.
+    The agreement flags compare three published counts against the family:
+    two elements in degree 1, top degree 8(ell-1), and an empty level just
+    below the top.
     """
-    basis = ell_centre_module_basis(ell)
-    counts: dict[int, int] = {}
-    for exps in basis:
-        d = census_degree(exps)
-        counts[d] = counts.get(d, 0) + 1
+    counts = family_counts(ell)
     max_degree = max(counts)
     ms = DegreeMultiset.from_counts(
         {GroupElement((d,)): m for d, m in counts.items()}
     )
     witness = multiset_symmetry_witness(ms)
-    verdict = "not-frobenius" if witness is None else "inconclusive"
+    terms = 12 * ell
+    obstruction = freeness_obstruction(ell, terms)
+    verdict = "not-frobenius" if obstruction is not None else "inconclusive"
     top = 8 * (ell - 1)
     agreement = {
         "degree_1_count_is_2": counts.get(1, 0) == 2,
@@ -328,10 +416,12 @@ def degree_census(
     }
     return CensusReport(
         ell=ell,
-        basis_size=len(basis),
+        basis_size=sum(counts.values()),
         counts=counts,
         max_degree=max_degree,
         symmetry_d=None if witness is None else witness.coords[0],
+        obstruction=obstruction,
+        series_terms=terms,
         verdict=verdict,
         paper_agreement=agreement,
         s_matrix=tuple(s_matrix) if s_matrix is not None else (),

@@ -47,13 +47,17 @@ def normal_order_exponent(cmatrix, a, b) -> int:
 
 
 class QuantumAffineSpace:
-    """k_q[x_1,...,x_n] at an ell-th root of unity, graded by Z^m."""
+    """k_q[x_1,...,x_n] at an ell-th root of unity, graded by Z^m; the
+    generators are named x1..xn unless names are given."""
 
-    def __init__(self, field: RootField, cmatrix, degrees):
+    def __init__(self, field: RootField, cmatrix, degrees, names: Optional[tuple] = None):
         self.field = field
         self.n = len(cmatrix)
         self.cmatrix = tuple(tuple(int(c) for c in row) for row in cmatrix)
         self.degrees = tuple(degrees)
+        self.names = tuple(names) if names is not None else tuple(
+            f"x{i + 1}" for i in range(self.n)
+        )
         self._validate()
         self._algebra = self._build_algebra()
 
@@ -64,6 +68,10 @@ class QuantumAffineSpace:
         check_commutation_matrix(C)
         if len(self.degrees) != n:
             raise DimensionMismatch("need one degree vector per generator")
+        if len(self.names) != n:
+            raise DimensionMismatch("need one name per generator")
+        if len(set(self.names)) != n:
+            raise DomainError("generator names must be distinct")
         dims = {len(d) for d in self.degrees}
         if len(dims) > 1:
             raise DimensionMismatch("degree vectors of mixed dimension")
@@ -94,9 +102,8 @@ class QuantumAffineSpace:
         weights = None
         if self.degree_dim == 1 and all(d.coords[0] > 0 for d in self.degrees):
             weights = tuple(d.coords[0] for d in self.degrees)
-        names = tuple(f"x{i + 1}" for i in range(self.n))
         name = f"qas(n={self.n}, ell={fld.ell}, p={fld.p})"
-        return exponent_algebra(fld, names, mul, self.monomial_degree, name, weights=weights)
+        return exponent_algebra(fld, self.names, mul, self.monomial_degree, name, weights=weights)
 
     def algebra(self) -> BasedAlgebra:
         return self._algebra
@@ -206,19 +213,23 @@ def make_qas(
     degrees=None,
     seed: int = 0,
     zeta: Optional[int] = None,
+    names: Optional[tuple] = None,
 ) -> QuantumAffineSpace:
-    """Convenience constructor with all-ones degrees in Z and default scalars."""
+    """Convenience constructor with all-ones degrees in Z, default scalars
+    and generators x1..xn."""
     fld = RootField(p if p is not None else default_prime(ell), ell, zeta=zeta, seed=seed)
     if cmatrix is None:
         cmatrix = standard_cmatrix(n)
     if degrees is None:
         degrees = tuple(GroupElement((1,)) for _ in range(n))
-    return QuantumAffineSpace(fld, cmatrix, degrees)
+    return QuantumAffineSpace(fld, cmatrix, degrees, names)
 
 
 def from_config(cfg, seed: int = 0) -> QuantumAffineSpace:
     """Build quantum affine space from a parsed algebra presentation."""
-    return make_qas(len(cfg.names), cfg.ell, cfg.p, cfg.cmatrix, cfg.degrees, seed=seed)
+    return make_qas(
+        len(cfg.names), cfg.ell, cfg.p, cfg.cmatrix, cfg.degrees, seed=seed, names=cfg.names
+    )
 
 
 def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgebra:

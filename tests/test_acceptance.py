@@ -42,7 +42,7 @@ from frobex.qas import (
 from frobex.rees import check_cone_freeness, check_reduction_tables, rees_extension
 from frobex.algcore import RootField
 
-from oracles import gr24_products_oracle, gr24_sweep_counts_oracle
+from oracles import _hilbert_series_gr24, gr24_products_oracle, gr24_sweep_counts_oracle
 
 
 PRIMES = {2: 5, 3: 7, 5: 11}
@@ -280,6 +280,22 @@ def test_criterion_6_degree_multiset_machinery(grid):
     _report(6, "degree multiset machinery", ok, detail)
 
 
+def _first_negative_term(ell, terms):
+    """(degree, coefficient) of the first negative term of H_R / H_Z0 to
+    `terms` terms, with H_Z0(t) = H_R(t^ell) from the Hilbert-series oracle."""
+    h_r = _hilbert_series_gr24(terms - 1)
+    h_z = [0] * terms
+    for i in range((terms - 1) // ell + 1):
+        h_z[i * ell] = h_r[i]
+    quotient = []
+    for n in range(terms):
+        q = h_r[n] - sum(h_z[k] * quotient[n - k] for k in range(1, n + 1))
+        if q < 0:
+            return n, q
+        quotient.append(q)
+    return None
+
+
 def test_criterion_7_grassmannian_census():
     start = time.monotonic()
     ok = True
@@ -295,6 +311,7 @@ def test_criterion_7_grassmannian_census():
             and a.counts == b.counts
             and a.verdict == b.verdict
             and "no_elements_of_degree_8(ell-1)-1" in a.paper_agreement
+            and a.obstruction == b.obstruction == _first_negative_term(ell, 12 * ell)
         )
         if not checks:
             ok, detail = False, f"ell={ell}"

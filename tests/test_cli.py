@@ -179,6 +179,72 @@ def test_census_config_rule_without_cmatrix_sets_t(tmp_path):
     assert code == 2
 
 
+CENSUS_CONFIG = (
+    "[field]\np = 7\nell = 3\n\n"
+    "[generators]\nnames = x1 x2 x3 x4 x5 x6\ndegrees = 2; 1; 2; 1; 2; 2\n\n"
+    "[relations]\nstraighten = x3 x4 -> 2 x2 x5\n"
+)
+
+
+def _census_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "census.cfg"
+    cfg.write_text(text)
+    code, report = run(tmp_path, "grassmannian-census", "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("frobex: input error: ")
+    assert "error:" in report
+    return err
+
+
+def test_census_config_rejects_other_degrees(tmp_path, capsys):
+    text = CENSUS_CONFIG.replace("2; 1; 2; 1; 2; 2", "1; 1; 1; 1; 1; 1")
+    err = _census_config_error(tmp_path, capsys, text)
+    assert "degrees '2; 1; 2; 1; 2; 2', not '1; 1; 1; 1; 1; 1'" in err
+
+
+def test_census_config_rejects_other_names(tmp_path, capsys):
+    text = CENSUS_CONFIG.replace("x1 x2 x3 x4 x5 x6", "a b c d e f").split("[relations]")[0]
+    err = _census_config_error(tmp_path, capsys, text)
+    assert "'x1 x2 x3 x4 x5 x6', not 'a b c d e f'" in err
+
+
+def test_census_config_rejects_a_second_rule(tmp_path, capsys):
+    text = CENSUS_CONFIG + "    x1 x2 -> 1 x2 x1\n"
+    err = _census_config_error(tmp_path, capsys, text)
+    assert "one straightening rule, not 2" in err
+
+
+def test_qweyl_config_must_present_the_fixture(tmp_path, capsys):
+    fixture = "[field]\np = 7\nell = 2\n\n[generators]\nnames = y x\ndegrees = 1; 1\n"
+    cfg = tmp_path / "qweyl.cfg"
+    others = (
+        fixture.replace("y x", "a b"),
+        fixture.replace("1; 1", "1; 2"),
+        fixture + "\n[relations]\nc = 0 1; -1 0\n",
+        fixture + "\n[relations]\nstraighten = x y -> 1 y x\n",
+    )
+    for command in ("qweyl-transfer", "rees-demo"):
+        for text in others:
+            cfg.write_text(text)
+            code, report = run(tmp_path, command, "--config", str(cfg))
+            assert code == 2, text
+            assert capsys.readouterr().err.startswith("frobex: input error: ")
+            assert "error:" in report
+        cfg.write_text(fixture)
+        code, report = run(tmp_path, command, "--config", str(cfg))
+        assert code == 0
+        assert "ell: 2" in report
+
+
+def test_qas_config_names_the_generators(tmp_path):
+    cfg = tmp_path / "uv.cfg"
+    cfg.write_text("[field]\np = 7\nell = 3\n\n[generators]\nnames = u v\ndegrees = 1; 1\n")
+    code, text = run(tmp_path, "nakayama", "--config", str(cfg))
+    assert code == 0
+    assert "nakayama: u -> 2*u; v -> 4*v" in text
+
+
 def test_qas_config_with_straightening_exit_two(tmp_path, capsys):
     cfg = tmp_path / "qas_rule.cfg"
     cfg.write_text(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import frobex.frobenius as frobenius
 from frobex.algcore import filtered_degree, multiply
 from frobex.errors import DomainError, HomogeneityError, UnsupportedStructure
 from frobex.frobenius import (
@@ -393,6 +394,24 @@ def test_nakayama_fixes_central_generators():
     nak = nakayama_on_generators(ext, rng=random.Random(2), checks=20)
     for s in ext.engine.subring_generators:
         assert apply_automorphism(alg, nak.images_by_index, alg.monomial(s)) == alg.monomial(s)
+
+
+def test_nakayama_multiplies_out_generator_powers_once(monkeypatch):
+    # the 200 random-pair checks share one table of nu(x_k)^e (878 calls);
+    # remaking it for every pair took 4,186
+    A = make_qas(2, 7)
+    ext = ell_centre_extension(A.algebra(), 7)
+    cert = verify_frobenius(ext)
+    calls = Counter()
+
+    def counting(*args):
+        calls["multiply"] += 1
+        return multiply(*args)
+
+    monkeypatch.setattr(frobenius, "multiply", counting)
+    nak = nakayama_on_generators(ext, cert, rng=random.Random(0), checks=200)
+    assert nak.checked_pairs == 200
+    assert calls["multiply"] <= 1500
 
 
 def test_nakayama_requires_frobenius_verdict():

@@ -1,11 +1,13 @@
 """Straightening rewriting, basis enumeration, census, freeness window."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from frobex.algcore import RootField, check_associativity, check_degree_law
 from frobex.errors import BudgetExceeded, DomainError
+import frobex.grassmannian as grassmannian
 from frobex.grassmannian import (
     CENSUS_DEGREES,
     GrGrassmannian,
@@ -17,6 +19,7 @@ from frobex.grassmannian import (
     degree_census,
     ell_centre_module_basis,
     exponents_of,
+    hilbert_series,
     is_standard,
     normal_form,
     normal_form_word,
@@ -24,6 +27,8 @@ from frobex.grassmannian import (
     verify_freeness_window,
     word_of,
 )
+
+from oracles import gr24_family_oracle
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +153,46 @@ def test_census_verdict_all_ell(ell):
     assert rep.symmetry_d is None
     assert rep.verdict == "not-frobenius"
     assert sum(rep.counts.values()) == rep.basis_size
+
+
+@pytest.mark.parametrize("ell", range(2, 9))
+def test_census_counts_match_family_oracle(ell):
+    family = gr24_family_oracle(ell)
+    rep = degree_census(ell)
+    assert rep.counts == dict(Counter(census_degree(b) for b in family))
+    assert rep.basis_size == len(family)
+
+
+def test_census_counts_without_enumerating_the_family(monkeypatch):
+    def refuse(ell):
+        raise AssertionError("degree_census enumerated the family")
+
+    monkeypatch.setattr(grassmannian, "ell_centre_module_basis", refuse)
+    rep = degree_census(20)
+    assert rep.basis_size == 4_264_000
+    assert rep.max_degree == 8 * 19
+    assert rep.verdict == "not-frobenius"
+
+
+def test_hilbert_series_counts_standard_monomials():
+    buckets = standard_monomials_by_degree(16)
+    assert hilbert_series(17) == [len(buckets[d]) for d in range(17)]
+
+
+@pytest.mark.parametrize("ell, p, cutoff", [(2, 7, 8), (3, 7, 9)])
+@pytest.mark.parametrize("scalars", [default_s_matrix, alternate_s_matrix])
+def test_central_standard_monomials_span_a_subring(ell, p, cutoff, scalars):
+    # Z0 is spanned by the central standard monomials on the window: every
+    # product of two of them, x3^ell * x4^ell included, normal-forms to a
+    # scalar multiple of one
+    G = GrGrassmannian(RootField(p, ell), scalars(), t_exp=2)
+    zs = central_standard_monomials(ell, cutoff)
+    central = set(central_standard_monomials(ell, 2 * cutoff))
+    assert (0, 0, ell, 0, 0, 0) in zs and (0, 0, 0, ell, 0, 0) in zs
+    for a in zs:
+        for b in zs:
+            _, exps = normal_form_word(G, word_of(a) + word_of(b))
+            assert exps in central
 
 
 def test_census_counts_are_scalar_independent():
