@@ -17,6 +17,7 @@ are deterministic: identical configuration and seed give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -193,7 +194,7 @@ def run_grassmannian_census(args):
         scalars = "config"
     fld = RootField(args.p, args.ell, seed=args.seed)
     GrGrassmannian(fld, s_matrix, t_exp)  # validates the configuration
-    report = degree_census(args.ell, s_matrix=s_matrix, t_exp=t_exp)
+    report = degree_census(args.ell)
     params = {
         "p": args.p,
         "ell": args.ell,
@@ -226,7 +227,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"frobex: input error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The frobex parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call shares it."""
     parser = _Parser(
         prog="frobex",
         description="verify and refute Frobenius extensions of quantum algebras",

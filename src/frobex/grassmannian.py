@@ -326,9 +326,9 @@ def freeness_obstruction(ell: int, terms: int) -> Optional[tuple[int, int]]:
     Frobenius extension of Z0.
     """
     h_r = hilbert_series(terms)
-    h_z = [0] * terms  # H_Z0, counted over its standard monomials
-    for z in central_standard_monomials(ell, terms - 1):
-        h_z[census_degree(z)] += 1
+    # e -> ell * e maps the standard monomials onto the central standard
+    # monomials, which span Z0, so H_Z0(t) = H_R(t^ell)
+    h_z = [h_r[k // ell] if k % ell == 0 else 0 for k in range(terms)]
     steps = [(k, c) for k, c in enumerate(h_z) if k and c]
     quotient: list[int] = []
     for n in range(terms):
@@ -351,8 +351,6 @@ class CensusReport:
     series_terms: int
     verdict: str
     paper_agreement: dict
-    s_matrix: tuple = ()
-    t_exp: Optional[int] = None
 
     def format(self) -> str:
         lines = [
@@ -383,9 +381,7 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def degree_census(
-    ell: int, s_matrix=None, t_exp: Optional[int] = None
-) -> CensusReport:
+def degree_census(ell: int) -> CensusReport:
     """Count the distinguished family by census degree and certify that R
     is not a Frobenius extension of Z0, the subring of ell-th powers.
 
@@ -393,8 +389,7 @@ def degree_census(
     coefficient of H_R / H_Z0 within 12 * ell terms.  The symmetry witness
     is computed on the family's degrees and reported for information only,
     since the family is not a free basis.  None of this involves the
-    commutation scalars; the optional configuration is recorded for
-    provenance so reports made under different scalars can be compared.
+    commutation scalars, so the census takes none.
     The agreement flags compare three published counts against the family:
     two elements in degree 1, top degree 8(ell-1), and an empty level just
     below the top.
@@ -424,8 +419,6 @@ def degree_census(
         series_terms=terms,
         verdict=verdict,
         paper_agreement=agreement,
-        s_matrix=tuple(s_matrix) if s_matrix is not None else (),
-        t_exp=t_exp,
     )
 
 

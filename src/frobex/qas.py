@@ -92,12 +92,13 @@ class QuantumAffineSpace:
         return g
 
     def _build_algebra(self) -> BasedAlgebra:
-        fld = self.field
+        fld, C = self.field, self.cmatrix
 
         def mul(a, b):
-            k, exps = monomial_product(self, a, b)
-            # zeta is a unit, so its power is never 0 mod p
-            return Element.reduced(fld, {exps: fld.zeta_pow(k)})
+            # the algebra's own indices need none of monomial_product's
+            # input checks; zeta is a unit, so its power is never 0 mod p
+            exps = tuple([x + y for x, y in zip(a, b)])
+            return Element.reduced(fld, {exps: fld.zeta_pow(normal_order_exponent(C, a, b))})
 
         weights = None
         if self.degree_dim == 1 and all(d.coords[0] > 0 for d in self.degrees):
@@ -147,9 +148,6 @@ class RestrictedBasisEngine:
         self.point_len = self.width
         # index -> (r, s, 1/c) from _split; only indices that split are kept
         self._splits: dict = {}
-
-    def complement(self, b) -> tuple:
-        return tuple(self.ell - 1 - e for e in b)
 
     def top_slot(self) -> tuple:
         return (self.ell - 1,) * self.width

@@ -251,11 +251,6 @@ class ReesEngine:
         ) + ((A.one, GroupElement((1,))),)
         self.point_len = base_engine.point_len + 1
 
-    def complement(self, bidx):
-        b, _ = bidx
-        comp = self.base_engine.complement(b)
-        return (comp, self.rees.base.degree_of(comp))
-
     def decompose(self, y: Element) -> dict:
         A = self.rees.base
         fld = A.field

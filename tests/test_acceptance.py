@@ -301,21 +301,29 @@ def test_criterion_7_grassmannian_census():
     ok = True
     detail = ""
     for ell in (2, 3, 4, 5):
-        a = degree_census(ell, s_matrix=default_s_matrix(), t_exp=1)
-        b = degree_census(ell, s_matrix=alternate_s_matrix(), t_exp=2)
+        a = degree_census(ell)
         checks = (
             a.counts.get(1, 0) == 2
             and a.max_degree == 8 * (ell - 1)
             and a.symmetry_d is None
             and a.verdict == "not-frobenius"
-            and a.counts == b.counts
-            and a.verdict == b.verdict
             and "no_elements_of_degree_8(ell-1)-1" in a.paper_agreement
-            and a.obstruction == b.obstruction == _first_negative_term(ell, 12 * ell)
+            and a.obstruction == _first_negative_term(ell, 12 * ell)
         )
         if not checks:
             ok, detail = False, f"ell={ell}"
             break
+    if ok:
+        # the census reads no commutation scalars; the rewriting it stands
+        # in for does, and sweeps out the same counts and the same first
+        # collision under both scalar sets
+        sweeps = [
+            verify_freeness_window(GrGrassmannian(RootField(5, 2), s, t), 5)
+            for s, t in ((default_s_matrix(), 1), (alternate_s_matrix(), 2))
+        ]
+        a, b = sweeps
+        if a.collision is None or (a.per_degree, a.collision) != (b.per_degree, b.collision):
+            ok, detail = False, f"scalar sets disagree: {a.collision} vs {b.collision}"
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
     _report(7, "Gr(2,4) degree census refutation", ok, detail or f"{elapsed:.1f}s")

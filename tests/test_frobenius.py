@@ -271,7 +271,7 @@ def test_verify_qas_certificate_values():
     assert cert.symmetry_d == GroupElement((4,))
     assert cert.gram_status.kind == "unit-determinant"
     assert cert.gram_status.method == "generalized-permutation"
-    assert len(cert.f1_witnesses) == cert.rank
+    assert cert.f1_witnesses == cert.rank
 
 
 def test_verify_trivial_extension():
@@ -293,9 +293,50 @@ def test_sabotaged_slot_zero_form_is_refuted():
     cert = verify_frobenius(bad)
     assert cert.verdict == "not-frobenius"
     assert cert.refutation["kind"] == "gram-not-unit"
-    # the witness search itself succeeds (complements reach slot zero), so
-    # the refutation really does come from the determinant criterion
-    assert len(cert.f1_witnesses) == cert.rank
+    # every basis element has two-sided witnesses (M has no zero row or
+    # column), so the refutation really does come from the determinant
+    assert cert.f1_witnesses == cert.rank
+
+
+def _zero_form_on_qas():
+    ext = ell_centre_extension(make_qas(2, 3, 7).algebra(), 3)
+    zero = ext.ambient.zero()
+    return ext.with_form(lambda y: zero)
+
+
+def _constant_term_form_on_qweyl():
+    # Phi(y) = the coefficient of 1: Phi(x * y) = 1 but no c * x has a
+    # constant term, so x has a right witness and no left one
+    W = quantum_weyl(2)
+    ext = ell_centre_extension(W, 2)
+    return ext.with_form(lambda y: W.monomial(W.one, y.terms.get(W.one, 0)))
+
+
+@pytest.mark.parametrize(
+    "build, witnesses, detail, refutation",
+    [
+        (
+            _zero_form_on_qas,
+            "0/9",
+            "zero row 0",
+            "f1-witness-missing (basis_element=(0, 0); side=right)",
+        ),
+        (
+            _constant_term_form_on_qweyl,
+            "1/4",
+            "zero column 1",
+            "f1-witness-missing (basis_element=(0, 1); side=left)",
+        ),
+    ],
+)
+def test_missing_two_sided_witness_is_refuted(build, witnesses, detail, refutation):
+    cert = verify_frobenius(build())
+    assert cert.verdict == "not-frobenius"
+    lines = format_certificate(cert).splitlines()
+    assert f"f1_witnesses: {witnesses}" in lines
+    assert "gram_method: structure" in lines
+    assert f"gram_detail: {detail}" in lines
+    assert f"refutation: {refutation}" in lines
 
 
 def test_inhomogeneous_form_raises_in_graded_mode():

@@ -58,6 +58,18 @@ def test_monomial_product_unit():
     assert monomial_product(A, (0, 0, 0), a) == (0, a)
 
 
+def test_monomial_product_checks_its_input():
+    A = make_qas(2, 3, 7)
+    with pytest.raises(DimensionMismatch):
+        monomial_product(A, (1, 0, 0), (0, 1))
+    with pytest.raises(DimensionMismatch):
+        monomial_product(A, (1, 0), (0,))
+    with pytest.raises(DomainError):
+        monomial_product(A, (1, -1), (0, 1))
+    with pytest.raises(DomainError):
+        monomial_product(A, (1, 0), (-2, 1))
+
+
 def test_monomial_product_interface_examples():
     # n=2, C[1][2] = 1: x1 x2 = q x2 x1
     A = make_qas(2, 3, 7)
