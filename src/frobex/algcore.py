@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import AlgebraDefinitionError, ConfigError, DomainError
+from .errors import AlgebraDefinitionError, ConfigError, DomainError, UnsupportedStructure
 from .grpdeg import NEG_INF, Degree, GroupElement
 
 # Rewriting oracles abort after this many steps rather than truncate silently.
@@ -320,6 +320,8 @@ def exponent_algebra(
         return "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e) or "1"
 
     def enumerate_up_to(bound: GroupElement) -> Iterator[tuple]:
+        if len(bound) != 1:
+            raise UnsupportedStructure(f"{name} enumerates up to rank-one bounds, not {bound}")
         return weighted_exponents(weights, bound.coords[0])
 
     return BasedAlgebra(
@@ -460,7 +462,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad integer vector {text!r}") from exc
 
 
-def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+    """A square integer matrix written as semicolon-separated rows."""
     rows = [r for r in text.split(";") if r.strip()]
     mat = tuple(_parse_vector(r) for r in rows)
     if any(len(r) != len(mat) for r in mat):
@@ -468,7 +471,8 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     return mat
 
 
-def _parse_degrees(text: str) -> tuple[GroupElement, ...]:
+def parse_degrees(text: str) -> tuple[GroupElement, ...]:
+    """Degree vectors separated by semicolons; empty text gives none."""
     return tuple(GroupElement(_parse_vector(v)) for v in text.split(";") if v.strip())
 
 
@@ -487,7 +491,7 @@ def parse_algebra_config(text: str) -> AlgebraConfig:
         degstr = parser.get("generators", "degrees")
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"incomplete config: {exc}") from exc
-    degrees = _parse_degrees(degstr)
+    degrees = parse_degrees(degstr)
     if len(degrees) != len(names):
         raise ConfigError(
             f"{len(names)} generators but {len(degrees)} degree vectors"
@@ -496,7 +500,7 @@ def parse_algebra_config(text: str) -> AlgebraConfig:
     straightenings = []
     if parser.has_section("relations"):
         if parser.has_option("relations", "c"):
-            cmatrix = _parse_matrix(parser.get("relations", "c"))
+            cmatrix = parse_matrix(parser.get("relations", "c"))
             if len(cmatrix) != len(names):
                 raise ConfigError("commutation matrix size does not match generators")
         if parser.has_option("relations", "straighten"):

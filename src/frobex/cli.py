@@ -10,8 +10,9 @@ plus blocks) that embeds the full resolved configuration, and exits with
         a report path that cannot be written).
 
 A config file (--config, INI format as documented in algcore) overrides
-flags; the FROBEX_SEED environment variable overrides the seed.  Reports
-are deterministic: identical configuration and seed give identical bytes.
+flags: a config field replaces its flag, which is then not read.  The
+FROBEX_SEED environment variable overrides the seed.  Reports are
+deterministic: identical configuration and seed give identical bytes.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ import random
 import sys
 from typing import Optional
 
-from .algcore import (
-    RootField,
-    _parse_degrees,
-    _parse_matrix,
-    default_prime,
-    parse_algebra_config,
-)
+from .algcore import RootField, default_prime, parse_algebra_config, parse_degrees, parse_matrix
 from .errors import FrobexError, ConfigError
 from .frobenius import (
     ell_centre_extension,
@@ -48,29 +43,17 @@ from .grassmannian import (
     degree_census,
 )
 from .grpdeg import GroupElement
-from .qas import (
-    QuantumAffineSpace,
-    make_qas,
-    quantum_plane_of_weyl,
-    quantum_weyl,
-    standard_cmatrix,
-)
+from .qas import QuantumAffineSpace, make_qas, quantum_plane_of_weyl, quantum_weyl
 from .rees import check_cone_freeness, check_reduction_tables, rees_extension
 
 
 def _build_qas(args) -> QuantumAffineSpace:
-    n = args.n
-    cmatrix = _parse_matrix(args.cmatrix) if args.cmatrix else standard_cmatrix(n)
-    if args.degrees:
-        degrees = _parse_degrees(args.degrees)
-    else:
-        degrees = tuple(GroupElement((1,)) for _ in range(n))
-    if len(cmatrix) != n or len(degrees) != n:
-        raise ConfigError(
-            f"n = {n} but cmatrix has {len(cmatrix)} rows and "
-            f"{len(degrees)} degree vectors"
-        )
-    return make_qas(n, args.ell, args.p, cmatrix, degrees, seed=args.seed, names=args.names)
+    n = args.n  # cmatrix or degrees left as None take make_qas's defaults
+    rows = n if args.cmatrix is None else len(args.cmatrix)
+    vectors = n if args.degrees is None else len(args.degrees)
+    if rows != n or vectors != n:
+        raise ConfigError(f"n = {n} but cmatrix has {rows} rows and {vectors} degree vectors")
+    return make_qas(n, args.ell, args.p, args.cmatrix, args.degrees, seed=args.seed, names=args.names)
 
 
 def _fmt_matrix(mat) -> str:
@@ -88,6 +71,7 @@ def _qas_setup(args):
         "p": args.p,
         "ell": args.ell,
         "n": args.n,
+        "names": " ".join(A.names),
         "seed": args.seed,
         "zeta": A.field.zeta,
         "cmatrix": _fmt_matrix(A.cmatrix),
@@ -186,22 +170,16 @@ def run_rees_demo(args):
 
 
 def run_grassmannian_census(args):
-    scalars = args.scalars
-    s_matrix = alternate_s_matrix() if scalars == "alt" else default_s_matrix()
-    t_exp = args.t
-    if args.s_matrix is not None:
-        s_matrix = args.s_matrix
-        scalars = "config"
     fld = RootField(args.p, args.ell, seed=args.seed)
-    GrGrassmannian(fld, s_matrix, t_exp)  # validates the configuration
+    GrGrassmannian(fld, args.s_matrix, args.t)  # validates the configuration
     report = degree_census(args.ell)
     params = {
         "p": args.p,
         "ell": args.ell,
         "seed": args.seed,
-        "scalars": scalars,
-        "s_matrix": _fmt_matrix(s_matrix),
-        "t": t_exp,
+        "scalars": args.scalars,
+        "s_matrix": _fmt_matrix(args.s_matrix),
+        "t": args.t,
     }
     return report.verdict, params, ["[census]", report.format()]
 
@@ -217,6 +195,7 @@ COMMANDS = {
         run_grassmannian_census, "not-frobenius", "degree census of gr Gr(2,4)"
     ),
 }
+QAS_COMMANDS = ("qas-verify", "nakayama")  # the commands on quantum affine space
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--config", type=str, default=None)
-        if name in ("qas-verify", "nakayama"):
+        if name in QAS_COMMANDS:
             sp.set_defaults(names=None)  # x1..xn unless a config names them
             sp.add_argument("--n", type=int, default=2)
             sp.add_argument("--degrees", type=str, default=None)
@@ -264,40 +243,31 @@ def _check_generators(cfg, command: str, what: str, names: tuple, weights: tuple
             f"{command} presents {what} on generators {' '.join(names)!r}, "
             f"not {' '.join(cfg.names)!r}"
         )
-    given = "; ".join(" ".join(map(str, d.coords)) for d in cfg.degrees)
-    if given != "; ".join(map(str, weights)):
+    if tuple(d.coords for d in cfg.degrees) != tuple((w,) for w in weights):
+        given = "; ".join(" ".join(map(str, d.coords)) for d in cfg.degrees)
         raise ConfigError(
             f"{command} presents {what} with degrees {'; '.join(map(str, weights))!r}, "
             f"not {given!r}"
         )
 
 
-def _apply_config_file(args) -> None:
-    """Config file values override flags, per the interface contract; a
-    line the command cannot honour is an input error."""
+def _read_config(args):
+    """The parsed config file, or None without --config; a line the command
+    cannot honour is an input error."""
     if not args.config:
-        return
+        return None
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = parse_algebra_config(text)
-    args.p = cfg.p
-    args.ell = cfg.ell
-    if hasattr(args, "n"):
+    if args.command in QAS_COMMANDS:
         if cfg.straightenings:
             raise ConfigError(
                 f"{args.command} presents quantum affine space, which has no "
                 "straightening relations"
             )
-        args.n = len(cfg.names)
-        args.degrees = "; ".join(
-            " ".join(str(c) for c in d.coords) for d in cfg.degrees
-        )
-        if cfg.cmatrix is not None:
-            args.cmatrix = _fmt_matrix(cfg.cmatrix)
-        args.names = cfg.names
     elif args.command == "grassmannian-census":
         _check_generators(
             cfg, args.command, "gr Gr(2,4)", tuple(f"x{i + 1}" for i in range(6)), CENSUS_DEGREES
@@ -306,16 +276,13 @@ def _apply_config_file(args) -> None:
             raise ConfigError(
                 f"the census takes one straightening rule, not {len(cfg.straightenings)}"
             )
-        if cfg.cmatrix is not None:
-            args.s_matrix = cfg.cmatrix
         if cfg.straightenings:
-            lhs, t_exp, rhs = cfg.straightenings[0]
+            lhs, _, rhs = cfg.straightenings[0]
             if lhs != ("x3", "x4") or rhs != ("x2", "x5"):
                 raise ConfigError(
                     "the census accepts only the straightening shape "
                     "'x3 x4 -> k x2 x5'"
                 )
-            args.t = t_exp
     else:  # qweyl-transfer, rees-demo
         _check_generators(cfg, args.command, "the q-Weyl fixture", ("y", "x"), (1, 1))
         if cfg.cmatrix is not None or cfg.straightenings:
@@ -323,32 +290,55 @@ def _apply_config_file(args) -> None:
                 f"{args.command} presents the q-Weyl fixture, whose relation "
                 "x*y = q*y*x + 1 is fixed: a config has no 'c' or 'straighten' line"
             )
+    return cfg
+
+
+def _resolve(args) -> None:
+    """Turn the flags, config file and FROBEX_SEED into the typed values the
+    runners read, parsing each input once.  Afterwards ``cmatrix`` is an int
+    matrix and ``degrees`` a tuple of GroupElements, or None for make_qas's
+    default; the census has ``s_matrix``, labelled ``scalars``, and ``t``."""
+    cfg = _read_config(args)
+    if cfg is not None:
+        args.p, args.ell = cfg.p, cfg.ell
+    env_seed = os.environ.get("FROBEX_SEED")
+    if env_seed is not None:
+        try:
+            args.seed = int(env_seed)
+        except ValueError as exc:
+            raise ConfigError(f"FROBEX_SEED must be an integer: {env_seed!r}") from exc
+    if args.p is None:
+        args.p = default_prime(args.ell)
+    if args.command in QAS_COMMANDS:
+        if cfg is not None and cfg.cmatrix is not None:
+            args.cmatrix = cfg.cmatrix
+        elif args.cmatrix is not None:
+            args.cmatrix = parse_matrix(args.cmatrix)
+        if cfg is not None:
+            args.n, args.names, args.degrees = len(cfg.names), cfg.names, cfg.degrees
+        elif args.degrees is not None:
+            args.degrees = parse_degrees(args.degrees)
+    elif args.command == "grassmannian-census":
+        if cfg is not None and cfg.cmatrix is not None:
+            args.s_matrix, args.scalars = cfg.cmatrix, "config"
+        else:
+            args.s_matrix = alternate_s_matrix() if args.scalars == "alt" else default_s_matrix()
+        if cfg is not None and cfg.straightenings:
+            args.t = cfg.straightenings[0][1]
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not hasattr(args, "s_matrix"):
-        args.s_matrix = None
-
+    out = args.out or f"frobex-{args.command}.txt"
     try:
-        _apply_config_file(args)
-        env_seed = os.environ.get("FROBEX_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(f"FROBEX_SEED must be an integer: {env_seed!r}") from exc
-        if args.p is None:
-            args.p = default_prime(args.ell)
+        _resolve(args)
         runner, expected, _ = COMMANDS[args.command]
         outcome, params, body = runner(args)
     except FrobexError as exc:
         print(f"frobex: input error: {exc}", file=sys.stderr)
-        out = args.out or f"frobex-{args.command}.txt"
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(f"command: {args.command}\nerror: {exc}\n")
@@ -366,7 +356,6 @@ def main(argv: Optional[list] = None) -> int:
         f"match: {'true' if outcome == expected else 'false'}",
         *body,
     ]
-    out = args.out or f"frobex-{args.command}.txt"
     text = "\n".join(lines) + "\n"
     try:
         with open(out, "w", encoding="utf-8") as fh:

@@ -223,13 +223,6 @@ def make_qas(
     return QuantumAffineSpace(fld, cmatrix, degrees, names)
 
 
-def from_config(cfg, seed: int = 0) -> QuantumAffineSpace:
-    """Build quantum affine space from a parsed algebra presentation."""
-    return make_qas(
-        len(cfg.names), cfg.ell, cfg.p, cfg.cmatrix, cfg.degrees, seed=seed, names=cfg.names
-    )
-
-
 def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgebra:
     """The q-Weyl algebra on normal-ordered monomials y^a x^b.
 

@@ -1,5 +1,7 @@
 """Exit-code contract, report structure, determinism, seed override."""
 
+from pathlib import Path
+
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -243,6 +245,7 @@ def test_qas_config_names_the_generators(tmp_path):
     code, text = run(tmp_path, "nakayama", "--config", str(cfg))
     assert code == 0
     assert "nakayama: u -> 2*u; v -> 4*v" in text
+    assert "\nn: 2\nnames: u v\np: 7\n" in text  # [config] echoes the names
 
 
 def test_qas_config_with_straightening_exit_two(tmp_path, capsys):
@@ -273,6 +276,45 @@ def test_malformed_degrees_exit_two(tmp_path, capsys):
     assert code == 2
     assert "bad integer vector ' 1.5'" in capsys.readouterr().err
     assert "error:" in text
+
+
+def test_empty_flag_value_exit_two(tmp_path, capsys):
+    # a given value is parsed even when empty, never replaced by the default
+    for flag, counts in (("--cmatrix", "0 rows and 2"), ("--degrees", "2 rows and 0")):
+        code, text = run(tmp_path, "qas-verify", "--n", "2", flag, "")
+        assert code == 2
+        assert f"n = 2 but cmatrix has {counts} degree vectors" in capsys.readouterr().err
+        assert "error:" in text
+
+
+def test_flags_and_config_resolve_to_the_same_report(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    code, text = run(
+        tmp_path, "qas-verify", "--n", "2", "--ell", "3", "--p", "7",
+        "--degrees", "1; 2", "--cmatrix", "0 2; -2 0",
+    )
+    assert code == 0
+    assert text == (golden / "qas-verify_config.txt").read_text()
+    _, from_config = run(tmp_path, "qas-verify", "--config", str(golden / "qas-verify_config.cfg"))
+    assert from_config == text
+
+
+def test_flag_a_config_replaces_is_not_read(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    config = str(golden / "qas-verify_config.cfg")
+    for flags in (["--cmatrix", "0 a"], ["--degrees", "1; 1.5"], ["--n", "7", "--degrees", "x"]):
+        code, text = run(tmp_path, "qas-verify", *flags, "--config", config)
+        assert code == 0, flags
+        assert text == (golden / "qas-verify_config.txt").read_text()
+    # a config without a 'c' line leaves --cmatrix in force, and reads it
+    cfg = tmp_path / "uv.cfg"
+    cfg.write_text("[field]\np = 7\nell = 3\n\n[generators]\nnames = u v\ndegrees = 1; 1\n")
+    code, text = run(tmp_path, "nakayama", "--cmatrix", "0 0; 0 0", "--config", str(cfg))
+    assert code == 0
+    assert "cmatrix: 0 0; 0 0" in text
+    assert "nakayama_trivial: true" in text
+    code, _ = run(tmp_path, "nakayama", "--cmatrix", "0 a", "--config", str(cfg))
+    assert code == 2
 
 
 def test_unwritable_out_exit_two(tmp_path, capsys):

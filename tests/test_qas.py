@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from frobex.algcore import Element, RootField, multiply
-from frobex.errors import DimensionMismatch, DomainError
+from frobex.errors import DimensionMismatch, DomainError, UnsupportedStructure
 from frobex.frobenius import ell_centre_extension, reassemble
 from frobex.grpdeg import GroupElement
 from frobex.qas import (
@@ -267,6 +267,18 @@ def test_qweyl_cached_products_match_word_oracle(ell):
         assert W.degree_of(idx) is W.degree_of(idx)
 
 
+def test_enumerate_up_to_refuses_a_bound_of_another_rank():
+    # a rank-one enumeration read only the first coordinate of (6, 6) and
+    # answered with the 28 indices of total degree <= 6
+    W = quantum_weyl(3)
+    assert len(list(W.enumerate_up_to(GroupElement((6,))))) == 28
+    for bound in (GroupElement((6, 6)), GroupElement(())):
+        with pytest.raises(UnsupportedStructure):
+            W.enumerate_up_to(bound)
+    with pytest.raises(UnsupportedStructure):
+        make_qas(2, 3).algebra().enumerate_up_to(GroupElement((2, 0)))
+
+
 def test_trusted_products_are_reduced():
     # products wrapped without re-reduction hold values in [1, p) only and
     # equal the element the checked constructor builds; x^3 * y meets
@@ -363,16 +375,18 @@ def test_free_basis_multiset_survives_gr():
 
 
 def test_from_config_round_trip():
+    # make_qas over a parsed config keeps every field the config gave
     from frobex.algcore import parse_algebra_config
-    from frobex.qas import from_config
 
     cfg = parse_algebra_config(
         "[field]\np = 7\nell = 3\n\n"
         "[generators]\nnames = u v\ndegrees = 1 0; 0 1\n\n"
         "[relations]\nc = 0 2; -2 0\n"
     )
-    A = from_config(cfg)
+    A = make_qas(len(cfg.names), cfg.ell, cfg.p, cfg.cmatrix, cfg.degrees, names=cfg.names)
     assert A.n == 2 and A.field.p == 7 and A.field.ell == 3
     assert A.cmatrix == ((0, 2), (-2, 0))
+    assert A.degrees == cfg.degrees and A.names == ("u", "v")
+    assert A.algebra().generator_names == ("u", "v")
     k, exps = monomial_product(A, (0, 1), (1, 0))
     assert exps == (1, 1) and k == (-2) % 3
