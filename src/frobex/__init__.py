@@ -12,7 +12,6 @@ from .algcore import (
     BasedAlgebra,
     Element,
     RootField,
-    combine,
     default_prime,
     filtered_degree,
     gr_of,
@@ -48,7 +47,6 @@ from .grassmannian import (
     GrGrassmannian,
     degree_census,
     ell_centre_module_basis,
-    normal_form,
     verify_freeness_window,
 )
 from .grpdeg import (
@@ -56,14 +54,9 @@ from .grpdeg import (
     DegreeMultiset,
     GroupElement,
     in_positive_cone,
-    lex_compare,
     multiset_symmetry_witness,
 )
-from .qas import (
-    QuantumAffineSpace,
-    monomial_product,
-    quantum_weyl,
-)
-from .rees import cone_reduction, rees_extension, rees_of, reduce_canonical
+from .qas import QuantumAffineSpace, quantum_weyl
+from .rees import cone_reduction, rees_extension, rees_of
 
 __version__ = "0.1.0"

@@ -29,10 +29,18 @@ from .grpdeg import NEG_INF, Degree, GroupElement
 DEFAULT_STEP_BUDGET = 10**6
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all twelve witnesses above
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+MR_PROOF_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the field sizes used here."""
+    """Deterministic Miller-Rabin over the first twelve primes, a proof for
+    every n < MR_PROOF_BOUND; a larger n raises DomainError."""
+    if n >= MR_PROOF_BOUND:
+        raise DomainError(
+            f"cannot decide whether {n} is prime: the test is a proof only below {MR_PROOF_BOUND}"
+        )
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -233,20 +241,6 @@ class Element:
             return "0"
         parts = [f"{c}*[{idx}]" for idx, c in sorted(self.terms.items(), key=lambda t: repr(t[0]))]
         return " + ".join(parts)
-
-
-def monomial(fld: RootField, idx, coeff: int = 1) -> Element:
-    return Element(fld, {idx: coeff})
-
-
-def combine(a: Element, b: Element, lam: int, mu: int) -> Element:
-    """lam*a + mu*b with zero-coefficient pruning."""
-    if a.field != b.field:
-        raise DomainError("elements live over different fields")
-    out = {idx: lam * c for idx, c in a.terms.items()}
-    for idx, c in b.terms.items():
-        out[idx] = out.get(idx, 0) + mu * c
-    return Element(a.field, out)
 
 
 @dataclass(frozen=True)

@@ -227,17 +227,14 @@ class CentralFreeExtension:
         return f"CentralFreeExtension({self.name}, rank={len(self.basis)})"
 
 
-def ell_centre_extension(
-    algebra: BasedAlgebra, ell: int, form=None, validate: bool = True
-) -> CentralFreeExtension:
-    """The extension of an exponent-indexed algebra over its ell-centre,
-    with the top restricted slot projection as the default form."""
+def ell_centre_extension(algebra: BasedAlgebra, ell: int, form=None) -> CentralFreeExtension:
+    """The validated extension of an exponent-indexed algebra over its
+    ell-centre, with the top restricted slot projection as the default form."""
     engine = RestrictedBasisEngine(algebra, ell)
     if form is None:
         form = ProjectionForm(engine, engine.top_slot())
     ext = CentralFreeExtension(algebra, engine, form)
-    if validate:
-        ext.validate()
+    ext.validate()
     return ext
 
 
@@ -356,12 +353,15 @@ def _gram_structure(M: list[list[Element]], E: CentralFreeExtension) -> GramStru
     return GramStructure(pivot_row=pivot_row if permutation else None, scalars=scalars)
 
 
+# random points of Max S the fallback determinant test evaluates at
+DET_POINTS = 20
+
+
 def det_is_unit(
     M: list[list[Element]],
     E: CentralFreeExtension,
     phi_degree: Optional[GroupElement] = None,
     rng: Optional[random.Random] = None,
-    points: int = 20,
 ) -> GramStatus:
     """Decide whether det(M) is a unit of the commutative subring S.
 
@@ -428,7 +428,7 @@ def det_is_unit(
     # each further point is a root of det - v, of degree <= bound, with
     # probability <= bound/p when det != v (Schwartz-Zippel).
     bound = sum(max(_entry_poly_degree(E, M[i][j]) for j in range(n)) for i in range(n))
-    distinct = {fp_det(_eval_matrix(E, M, random_point(E, rng)), p) for _ in range(points)}
+    distinct = {fp_det(_eval_matrix(E, M, random_point(E, rng)), p) for _ in range(DET_POINTS)}
     if len(distinct) > 1:
         return GramStatus(
             "singular",
@@ -439,14 +439,7 @@ def det_is_unit(
         return GramStatus(
             "singular",
             "evaluation-random",
-            detail=f"all {points} evaluations are 0",
-        )
-    if points < 2:
-        return GramStatus(
-            "inconclusive",
-            "evaluation-random",
-            confidence=0.0,
-            detail=f"{points} evaluation point(s) bound nothing; need at least 2",
+            detail=f"all {DET_POINTS} evaluations are 0",
         )
     if bound >= p:
         return GramStatus(
@@ -455,12 +448,12 @@ def det_is_unit(
             confidence=0.0,
             detail=f"degree bound {bound} >= p = {p}; enlarge the field",
         )
-    confidence = 1.0 - (bound / p) ** (points - 1)
+    confidence = 1.0 - (bound / p) ** (DET_POINTS - 1)
     return GramStatus(
         "probabilistic-unit",
         "evaluation-random",
         confidence=confidence,
-        detail=f"failure probability <= ({bound}/{p})^{points - 1}",
+        detail=f"failure probability <= ({bound}/{p})^{DET_POINTS - 1}",
     )
 
 
@@ -581,11 +574,14 @@ class NakayamaResult:
     checked_pairs: int
 
 
+# random pairs on which a Nakayama solve is revalidated
+NAKAYAMA_CHECKS = 200
+
+
 def nakayama_on_generators(
     E: CentralFreeExtension,
     certificate: Optional[FrobeniusCertificate] = None,
     rng: Optional[random.Random] = None,
-    checks: int = 200,
 ) -> NakayamaResult:
     """Solve Phi(c * g) = Phi(nu(g) * c) for nu on each algebra generator.
 
@@ -594,8 +590,9 @@ def nakayama_on_generators(
     finite linear system over S.  It is solved directly when the Gram
     matrix is a generalized permutation with unit pivots, and through the
     F_p inverse when the Gram matrix is scalar.  The solution is then
-    revalidated on random pairs, extending nu multiplicatively through one
-    table of generator powers nu(x_k)^e built for this solve.
+    revalidated on NAKAYAMA_CHECKS random pairs, extending nu
+    multiplicatively through one table of generator powers nu(x_k)^e built
+    for this solve.
     """
     if certificate is None:
         certificate = verify_frobenius(E)
@@ -652,8 +649,7 @@ def nakayama_on_generators(
         images_by_index[g] == A.monomial(g) for g in A.generator_indices
     )
     nu = automorphism(A, images_by_index)  # one power table for every pair
-    checked = 0
-    for _ in range(checks):
+    for _ in range(NAKAYAMA_CHECKS):
         q = random_element(E, rng)
         r = random_element(E, rng)
         nu_r = nu(r)
@@ -663,8 +659,7 @@ def nakayama_on_generators(
             raise AlgebraDefinitionError(
                 f"Nakayama identity fails on a random pair in {E.name}"
             )
-        checked += 1
-    return NakayamaResult(images, images_by_index, trivial, checked)
+    return NakayamaResult(images, images_by_index, trivial, NAKAYAMA_CHECKS)
 
 
 def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], Element]:
@@ -701,17 +696,11 @@ def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], 
     return apply
 
 
-def apply_automorphism(A: BasedAlgebra, images_by_index: dict, el: Element) -> Element:
-    """The automorphism with these generator images, applied to one element."""
-    return automorphism(A, images_by_index)(el)
-
-
-def random_element(
-    E: CentralFreeExtension, rng: random.Random, max_terms: int = 2
-) -> Element:
+def random_element(E: CentralFreeExtension, rng: random.Random) -> Element:
+    """One or two random terms with random nonzero coefficients."""
     A = E.ambient
     terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 3)):
         idx = E.engine.random_index(rng)
         terms[idx] = rng.randrange(1, A.field.p)
     return Element(A.field, terms)
@@ -823,9 +812,7 @@ def lift_form(
 # ---------------------------------------------------------------------------
 
 
-def format_certificate(
-    cert: FrobeniusCertificate, A: Optional[BasedAlgebra] = None
-) -> str:
+def format_certificate(cert: FrobeniusCertificate, A: BasedAlgebra) -> str:
     """Structured text report; key names are part of the CLI contract."""
     lines = [
         f"verdict: {cert.verdict}",
@@ -845,7 +832,7 @@ def format_certificate(
         f"nakayama_trivial: "
         f"{'unknown' if cert.nakayama_trivial is None else str(cert.nakayama_trivial).lower()}"
     )
-    if cert.nakayama and A is not None:
+    if cert.nakayama:
         parts = [
             f"{name} -> {A.format_element(img)}"
             for name, img in sorted(cert.nakayama.items())

@@ -202,16 +202,6 @@ def normal_form_word(
         steps += 1
 
 
-def normal_form(
-    G: GrGrassmannian,
-    word,
-    rng: Optional[random.Random] = None,
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> Element:
-    k, exps = normal_form_word(G, word, rng=rng, budget=budget)
-    return Element(G.field, {exps: G.field.zeta_pow(k)})
-
-
 def is_standard(exps) -> bool:
     return exps[_LHS[0]] == 0 or exps[_LHS[1]] == 0
 

@@ -150,20 +150,6 @@ NEG_INF = _MinusInfinity()
 Degree = Union[GroupElement, _MinusInfinity]
 
 
-def lex_compare(g: GroupElement, h: GroupElement) -> int:
-    """Compare lexicographically; return -1, 0 or 1.
-
-    The order is total and translation invariant: g <= h implies
-    g + f <= h + f for every f.
-    """
-    g._check(h)
-    if g.coords < h.coords:
-        return -1
-    if g.coords > h.coords:
-        return 1
-    return 0
-
-
 def in_positive_cone(g: GroupElement) -> bool:
     """True iff g >= 0 in the lexicographic order.
 

@@ -95,8 +95,7 @@ class QuantumAffineSpace:
         fld, C = self.field, self.cmatrix
 
         def mul(a, b):
-            # the algebra's own indices need none of monomial_product's
-            # input checks; zeta is a unit, so its power is never 0 mod p
+            # zeta is a unit, so its power is never 0 mod p
             exps = tuple([x + y for x, y in zip(a, b)])
             return Element.reduced(fld, {exps: fld.zeta_pow(normal_order_exponent(C, a, b))})
 
@@ -111,18 +110,6 @@ class QuantumAffineSpace:
 
     def __repr__(self):
         return self._algebra.name
-
-
-def monomial_product(A: QuantumAffineSpace, a, b) -> tuple[int, tuple]:
-    """x^a * x^b = zeta^k * x^(a+b); returns (k mod ell, a+b)."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != A.n or len(b) != A.n:
-        raise DimensionMismatch("exponent vectors of wrong length")
-    if any(e < 0 for e in a + b):
-        raise DomainError("exponents must be non-negative")
-    k = normal_order_exponent(A.cmatrix, a, b) % A.field.ell
-    return k, tuple(x + y for x, y in zip(a, b))
 
 
 class RestrictedBasisEngine:
@@ -214,8 +201,10 @@ def make_qas(
     names: Optional[tuple] = None,
 ) -> QuantumAffineSpace:
     """Convenience constructor with all-ones degrees in Z, default scalars
-    and generators x1..xn."""
+    and generators x1..xn; n must be at least 1."""
     fld = RootField(p if p is not None else default_prime(ell), ell, zeta=zeta, seed=seed)
+    if n < 1:
+        raise DomainError(f"n = {n}: quantum affine space needs at least one generator")
     if cmatrix is None:
         cmatrix = standard_cmatrix(n)
     if degrees is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .algcore import BasedAlgebra, Element, gr_of, multiply
+from .algcore import BasedAlgebra, Element, gr_of
 from .errors import DomainError, UnsupportedStructure
 from .frobenius import CentralFreeExtension, ProjectionForm
 from .grpdeg import GroupElement, in_positive_cone
@@ -131,22 +131,6 @@ class ConeReduction:
             )
         return (b, pow(self.scalar, g.coords[0], self.target.field.p))
 
-    def map_element(self, el: Element) -> Element:
-        out: dict = {}
-        for idx, c in el.terms.items():
-            mapped = self.map_term(idx)
-            if mapped is None:
-                continue
-            tgt, coeff = mapped
-            out[tgt] = out.get(tgt, 0) + c * coeff
-        return Element(self.target.field, out)
-
-    def map_monomial(self, idx) -> Element:
-        mapped = self.map_term(idx)
-        if mapped is None:
-            return self.target.zero()
-        return self.target.monomial(mapped[0], mapped[1])
-
 
 def cone_reduction(RA: ReesAlgebra, scalar: int) -> ConeReduction:
     """Reduction at the point sending the cone parameter to the scalar."""
@@ -155,71 +139,76 @@ def cone_reduction(RA: ReesAlgebra, scalar: int) -> ConeReduction:
     return ConeReduction(rees=RA, scalar=scalar, target=target)
 
 
-def reduce_canonical(RA: ReesAlgebra, which: str) -> ConeReduction:
-    """The two canonical reductions: m0 kills the cone (leaving the
-    associated graded algebra), m1 sets the cone parameter to 1 (leaving
-    the base algebra)."""
-    if which == "m0":
-        return cone_reduction(RA, 0)
-    if which == "m1":
-        return cone_reduction(RA, 1)
-    raise DomainError("reduction must be 'm0' or 'm1'")
+def _maps_product(red: ConeReduction, image: dict, prod: Element, u, v) -> bool:
+    """Whether the reduction sends prod, the Rees product of u and v, to the
+    target's product of their images scaled by their scalars; ``image``
+    holds ``map_term`` of every index in the window."""
+    p = red.target.field.p
+    # a reduction keeps the base index and a product's terms share one cone
+    # degree, so the images of distinct terms are distinct
+    got = {}
+    for t, c in prod.terms.items():
+        # only a base that is not submultiplicative puts a term of a product
+        # of in-window factors outside the window; such a term is mapped here
+        mapped = image[t] if t in image else red.map_term(t)
+        if mapped is not None:
+            got[mapped[0]] = c * mapped[1] % p
+    if image[u] is None or image[v] is None:
+        return not got
+    (bu, cu), (bv, cv) = image[u], image[v]
+    return got == {t: c * cu * cv % p for t, c in red.target.mul_indices(bu, bv).terms.items()}
 
 
-def check_reduction_tables(
-    RA: ReesAlgebra, reductions, window: Optional[GroupElement] = None
-) -> dict:
-    """Exhaustively verify within the window that cone reductions are
-    algebra maps whose structure constants match their targets' tables.
+def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
+    """Exhaustively verify within the Rees algebra's window that cone
+    reductions are algebra maps whose structure constants match their
+    targets' tables.
 
-    ``reductions`` lists 'm0', 'm1' or ConeReductions.  Every admissible
-    pair (u, v) with deg u + deg v <= window is visited once, in the order
-    u, then v, of ``enumerate_admissible``; since that order ascends in cone
-    degree, the partners of u of degree g are a prefix of it, and only that
-    prefix is visited.  Each pair's Rees product is made once and mapped by
-    every reduction that has not failed yet.
+    Every admissible pair (u, v) with deg u + deg v <= window is visited
+    once, in the order u, then v, of ``enumerate_admissible``; since that
+    order ascends in cone degree, the partners of u of degree g are a prefix
+    of it, and only that prefix is visited.  Each reduction maps every
+    index of the window once.  Each pair's Rees product is made once and
+    checked by every reduction that has not failed yet.
 
-    Returns {reduction: None if it passed, else the failure message}; a
-    reduction fails at the unit or at its first non-multiplicative pair.
+    Returns one entry per reduction, in input order: None if it passed,
+    else the failure message; a reduction fails at the unit or at its first
+    non-multiplicative pair.
     """
-    window = window or RA.window
     RAlg = RA.algebra
-    result: dict = {}
-    live = []  # (which, reduction, the image of each index) until it fails
-    indices = list(enumerate_admissible(RA, window))
-    for which in reductions:
-        red = which if isinstance(which, ConeReduction) else reduce_canonical(RA, which)
-        result[which] = None
-        if red.map_element(RAlg.one_element()) != red.target.one_element():
-            result[which] = f"{red.scalar} reduction does not send unit to unit"
+    indices = list(enumerate_admissible(RA, RA.window))
+    result = []
+    live = []  # (position, reduction, index -> map_term) until it fails
+    for red in reductions:
+        if red.map_term(RAlg.one) != (red.target.one, 1):
+            result.append(f"{red.scalar} reduction does not send unit to unit")
         else:
-            live.append((which, red, [red.map_monomial(i) for i in indices]))
-    limit = window.coords[0]
+            result.append(None)
+            live.append((len(result) - 1, red, {i: red.map_term(i) for i in indices}))
+    limit = RA.window.coords[0]
     # ends[h] = number of indices of cone degree <= h
     counts = Counter(g.coords[0] for _, g in indices)
     ends = list(accumulate(counts[h] for h in range(limit + 1)))
-    for ui, u in enumerate(indices):
-        for vi, v in enumerate(indices[: ends[limit - u[1].coords[0]]]):
+    for u in indices:
+        for v in indices[: ends[limit - u[1].coords[0]]]:
             if not live:
                 return result
             prod = RAlg.mul_indices(u, v)
             for entry in tuple(live):
-                which, red, images = entry
-                if red.map_element(prod) != multiply(red.target, images[ui], images[vi]):
-                    result[which] = (
-                        f"cone reduction at {red.scalar} is not multiplicative at {u}, {v}"
-                    )
+                k, red, image = entry
+                if not _maps_product(red, image, prod, u, v):
+                    result[k] = f"cone reduction at {red.scalar} is not multiplicative at {u}, {v}"
                     live.remove(entry)
     return result
 
 
-def check_cone_freeness(RA: ReesAlgebra, window: Optional[GroupElement] = None) -> None:
+def check_cone_freeness(RA: ReesAlgebra) -> None:
     """Spot check that the degree-matched pairs (b, deg b) generate the Rees
-    algebra freely over the cone: every admissible (b, g) in the window
-    factors exactly as (b, deg b) * (1, g - deg b)."""
+    algebra freely over the cone: every admissible (b, g) in the Rees
+    algebra's window factors exactly as (b, deg b) * (1, g - deg b)."""
     A = RA.base
     RAlg = RA.algebra
-    for b, ge in enumerate_admissible(RA, window or RA.window):
+    for b, ge in enumerate_admissible(RA, RA.window):
         db = A.degree_of(b)
         if RAlg.mul_indices((b, db), (A.one, ge - db)) != RAlg.monomial((b, ge)):
             raise DomainError(f"({b}, {ge}) does not factor through the cone")
@@ -286,11 +275,9 @@ class ReesEngine:
 
 
 def rees_extension(
-    E: CentralFreeExtension,
-    window: Optional[GroupElement] = None,
-    validate: bool = True,
+    E: CentralFreeExtension, window: Optional[GroupElement] = None
 ) -> tuple[ReesAlgebra, CentralFreeExtension]:
-    """The induced extension Rees(S) inside Rees(R), with the transported form.
+    """The validated extension Rees(S) inside Rees(R), with the transported form.
 
     A projection onto base slot s becomes the projection onto the Rees slot
     (s, deg s), which sends (r, g) to (Phi(r), g - deg s): homogeneous of
@@ -309,6 +296,5 @@ def rees_extension(
     s = E.form.slot
     form = ProjectionForm(engine, (s, A.degree_of(s)))
     ext = CentralFreeExtension(RA.algebra, engine, form, name=f"rees({E.name})")
-    if validate:
-        ext.validate()
+    ext.validate()
     return RA, ext

@@ -1,6 +1,7 @@
 """Fields, sparse elements, based-algebra operations and config parsing."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,16 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frobex.algcore import (
+    MR_PROOF_BOUND,
     Element,
     RootField,
     check_associativity,
     check_degree_law,
-    combine,
     default_prime,
     filtered_degree,
     gr_of,
     is_prime,
-    monomial,
     multiply,
     parse_algebra_config,
     top_symbol,
@@ -34,6 +34,24 @@ def test_is_prime_small():
         assert is_prime(p)
     for n in [0, 1, 4, 9, 91, 7917]:
         assert not is_prime(n)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(10**5))
+
+
+def test_is_prime_refuses_numbers_it_cannot_prove():
+    # psi_12 = 399165290221 * 798330580441 passes all twelve witnesses
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 == MR_PROOF_BOUND
+    for n in (psi12, 3317044064679887385961981):
+        with pytest.raises(DomainError, match=str(psi12)):
+            is_prime(n)
+    # just below the bound the answer is a proof either way
+    assert is_prime(psi12 - 20) and not is_prime(psi12 - 2)
 
 
 def test_default_prime_divisibility():
@@ -78,22 +96,13 @@ def plane():
     return make_qas(2, 3, 7, zeta=2)
 
 
-def test_combine_examples(plane):
-    A = plane.algebra()
-    x = A.monomial((1, 0))
-    y = A.monomial((0, 1))
-    assert combine(x, x, 1, -1).is_zero()
-    assert combine(x, A.zero(), 5, 1) == A.monomial((1, 0), 5)
-    assert combine(combine(x, y, 1, 1), y, 1, -1) == x
-
-
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
-def test_combine_is_bilinear(lam, mu, nu):
+def test_linear_combination_is_bilinear(lam, mu, nu):
     fld = RootField(7, 3, zeta=2)
     a = Element(fld, {(1, 0): 2, (0, 1): 3})
     b = Element(fld, {(0, 1): 4, (1, 1): 1})
-    left = combine(combine(a, b, lam, mu), b, 1, nu)
-    right = combine(a, b, lam, (mu + nu) % 7)
+    left = (lam * a + mu * b) + nu * b
+    right = lam * a + ((mu + nu) % 7) * b
     assert left == right
 
 
@@ -214,7 +223,7 @@ def test_parse_config_errors():
 
 def test_element_single_term_and_scaling():
     fld = RootField(7, 3, zeta=2)
-    el = monomial(fld, (1, 0), 3)
+    el = Element(fld, {(1, 0): 3})
     idx, c = el.single_term()
     assert idx == (1, 0) and c == 3
     assert (5 * el).coeff((1, 0)) == 1  # 15 mod 7

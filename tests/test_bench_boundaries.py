@@ -1,28 +1,33 @@
-"""The names the benchmark's tracer wraps exist in frobex and are callable.
+"""The benchmark still runs against frobex: the names its tracer wraps
+exist and are callable, and one round of each workload passes its
+known-answer checks.
 
 verdictbench/tracer.py replaces frobex functions and methods by name for a
-traced run; a refactor that renames or moves one of them would break that
-run without failing any other test.  The tracer is loaded by file path and
-only read.
+traced run, and verdictbench/workloads.py calls frobex's public signatures;
+a refactor that renames, moves or prunes one of them would break the
+benchmark without failing any other test.  Both files are loaded by file
+path and only read.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "verdictbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "verdictbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("verdictbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"verdictbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracer.FUNCTIONS])
@@ -35,3 +40,28 @@ def test_traced_method_exists(module, cls, meth):
     klass = getattr(importlib.import_module(module), cls)
     # the tracer swaps the entry in the class's own __dict__
     assert callable(klass.__dict__[meth])
+
+
+def _smoke_jobs(workload, jobs):
+    """Every qas-ladder and rees-window job; for cli-mix, the first job of
+    each command and one malformed job."""
+    if workload.name != "cli-mix":
+        return jobs
+    first = {}
+    for job in jobs:
+        first.setdefault("malformed" if job.malformed else job.kind, job)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # frobex_env prepends src
+    env = workloads.frobex_env(BENCH.parent / "src")
+    env.out = str(tmp_path / "report.txt")
+    workload = workloads.WORKLOADS[name](seed=1)
+    workload.build(env)
+    jobs = _smoke_jobs(workload, workload.round(0))
+    assert jobs
+    for job in jobs:
+        job.prepare(env)
+        assert job.check(job.run(env), env) is None, job.kind

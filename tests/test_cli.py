@@ -287,6 +287,27 @@ def test_empty_flag_value_exit_two(tmp_path, capsys):
         assert "error:" in text
 
 
+def test_fewer_than_one_generator_exit_two(tmp_path, capsys):
+    for command in ("qas-verify", "nakayama"):
+        for n in ("0", "-1"):
+            code, text = run(tmp_path, command, "--n", n, "--ell", "3", "--p", "7")
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"n = {n}: quantum affine space needs at least one generator" in err
+            assert "error:" in text
+
+
+def test_prime_beyond_the_proof_bound_exit_two(tmp_path, capsys):
+    # psi_12 is composite but passes Miller-Rabin to the first twelve primes
+    for ell in ("2", "3"):
+        code, text = run(
+            tmp_path, "qas-verify", "--n", "2", "--ell", ell, "--p", "318665857834031151167461"
+        )
+        assert code == 2
+        assert "a proof only below 318665857834031151167461" in capsys.readouterr().err
+        assert "error:" in text
+
+
 def test_flags_and_config_resolve_to_the_same_report(tmp_path):
     golden = Path(__file__).parent / "golden"
     code, text = run(

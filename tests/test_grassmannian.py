@@ -21,7 +21,6 @@ from frobex.grassmannian import (
     exponents_of,
     hilbert_series,
     is_standard,
-    normal_form,
     normal_form_word,
     standard_monomials_by_degree,
     verify_freeness_window,
@@ -83,7 +82,8 @@ def test_normal_forms_are_standard(G3):
 
 
 def test_normal_form_element_wrapper(G3):
-    el = normal_form(G3, (2, 3))
+    # the product wraps normal_form_word: x3 * x4 = zeta^t * x2 x5
+    el = G3.algebra().mul_indices((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
     idx, c = el.single_term()
     assert idx == (0, 1, 0, 0, 1, 0) and c == G3.field.zeta_pow(G3.t_exp)
 

@@ -14,8 +14,8 @@ from frobex.rees import (
     ConeReduction,
     check_cone_freeness,
     check_reduction_tables,
+    cone_reduction,
     enumerate_admissible,
-    reduce_canonical,
     rees_extension,
     rees_of,
 )
@@ -75,8 +75,8 @@ def test_degrees_are_the_cone_coordinate(rees3):
     assert RAlg.mode == "graded"
 
 
-def test_cone_freeness_spot_check(rees3):
-    check_cone_freeness(rees3, g1(6))
+def test_cone_freeness_spot_check(weyl3):
+    check_cone_freeness(rees_of(weyl3, g1(6)))
 
 
 def test_cone_freeness_rejects_product_without_cone_shift(rees3):
@@ -86,13 +86,29 @@ def test_cone_freeness_rejects_product_without_cone_shift(rees3):
         prod = rees3.base.mul_indices(b, c)
         return Element(rees3.field, {(t, g): v for t, v in prod.terms.items()})
 
-    broken = replace(rees3, algebra=replace(rees3.algebra, mul_indices=mul))
+    broken = replace(rees3, window=g1(3), algebra=replace(rees3.algebra, mul_indices=mul))
     with pytest.raises(DomainError, match="does not factor through the cone"):
-        check_cone_freeness(broken, g1(3))
+        check_cone_freeness(broken)
 
 
-def test_reduction_tables_match(rees3):
-    assert check_reduction_tables(rees3, ("m0", "m1"), g1(6)) == {"m0": None, "m1": None}
+def canonical(RA):
+    """The reductions at cone parameter 0 (gr) and 1 (the base)."""
+    return cone_reduction(RA, 0), cone_reduction(RA, 1)
+
+
+def image(red, el):
+    """el mapped term by term through the reduction's index map."""
+    out = {}
+    for idx, c in el.terms.items():
+        mapped = red.map_term(idx)
+        if mapped is not None:
+            out[mapped[0]] = out.get(mapped[0], 0) + c * mapped[1]
+    return Element(red.target.field, out)
+
+
+def test_reduction_tables_match(weyl3):
+    RA = rees_of(weyl3, g1(6))
+    assert check_reduction_tables(RA, canonical(RA)) == [None, None]
 
 
 def admissible_in_order(window):
@@ -121,10 +137,11 @@ def test_reduction_tables_visit_only_in_window_pairs(rees3):
     window = 6
     adm = admissible_in_order(window)
     in_window = [(u, v) for u in adm for v in adm if u[1].coords[0] + v[1].coords[0] <= window]
-    RA, calls = counted_rees(rees3)
-    for reductions in (("m0",), ("m1",), ("m0", "m1")):
+    RA, calls = counted_rees(rees_of(rees3.base, g1(window)))
+    m0, m1 = canonical(RA)
+    for reductions in ((m0,), (m1,), (m0, m1)):
         del calls[:]
-        check_reduction_tables(RA, reductions, g1(window))
+        check_reduction_tables(RA, reductions)
         assert len(calls) == len(in_window)
         assert calls == in_window
 
@@ -147,8 +164,8 @@ def failing_pairs(RA, red, window):
         for u in adm
         for v in adm
         if u[1].coords[0] + v[1].coords[0] <= window
-        and red.map_element(RAlg.mul_indices(u, v))
-        != multiply(red.target, red.map_monomial(u), red.map_monomial(v))
+        and image(red, RAlg.mul_indices(u, v))
+        != multiply(red.target, image(red, RAlg.monomial(u)), image(red, RAlg.monomial(v)))
     ]
 
 
@@ -156,37 +173,37 @@ def not_multiplicative_at(pair, scalar=1):
     return "cone reduction at {} is not multiplicative at {}, {}".format(scalar, *pair)
 
 
-def test_reduction_tables_name_first_failing_pair(rees3, weyl3):
+def test_reduction_tables_name_first_failing_pair(weyl3):
     # a target table wrong on one base pair whose degrees sum to the window:
     # the only failing Rees pair has cone degrees adding up to the window
     window = 7
+    RA = rees_of(weyl3, g1(window))
+    m0, _ = canonical(RA)
     bad = ((0, 4), (3, 0))
-    m1_bad = ConeReduction(rees=rees3, scalar=1, target=broken_target(weyl3, bad))
-    failing = failing_pairs(rees3, m1_bad, window)
+    m1_bad = ConeReduction(rees=RA, scalar=1, target=broken_target(weyl3, bad))
+    failing = failing_pairs(RA, m1_bad, window)
     assert failing == [((bad[0], g1(4)), (bad[1], g1(3)))]
 
     # only m1 broken: m0 passes, m1 names the pair
-    got = check_reduction_tables(rees3, ("m0", m1_bad), g1(window))
-    assert got == {"m0": None, m1_bad: not_multiplicative_at(failing[0])}
+    got = check_reduction_tables(RA, (m0, m1_bad))
+    assert got == [None, not_multiplicative_at(failing[0])]
 
     # both broken, at different pairs: each names its own
-    gr = reduce_canonical(rees3, "m0").target
-    m0_bad = ConeReduction(rees=rees3, scalar=0, target=broken_target(gr, ((1, 0), (0, 2))))
-    failing0 = failing_pairs(rees3, m0_bad, window)
+    m0_bad = ConeReduction(rees=RA, scalar=0, target=broken_target(m0.target, ((1, 0), (0, 2))))
+    failing0 = failing_pairs(RA, m0_bad, window)
     assert failing0 == [(((1, 0), g1(1)), ((0, 2), g1(2)))]
-    got = check_reduction_tables(rees3, (m0_bad, m1_bad), g1(window))
-    assert got == {
-        m0_bad: not_multiplicative_at(failing0[0], 0),
-        m1_bad: not_multiplicative_at(failing[0]),
-    }
+    got = check_reduction_tables(RA, (m0_bad, m1_bad))
+    assert got == [not_multiplicative_at(failing0[0], 0), not_multiplicative_at(failing[0])]
 
     # a reduction that fails at the unit does not stop the other
-    no_unit = ConeReduction(rees=rees3, scalar=1, target=replace(weyl3, one=(1, 0)))
-    got = check_reduction_tables(rees3, (no_unit, m1_bad), g1(window))
-    assert got == {
-        no_unit: "1 reduction does not send unit to unit",
-        m1_bad: not_multiplicative_at(failing[0]),
-    }
+    no_unit = ConeReduction(rees=RA, scalar=1, target=replace(weyl3, one=(1, 0)))
+    got = check_reduction_tables(RA, (no_unit, m1_bad))
+    assert got == ["1 reduction does not send unit to unit", not_multiplicative_at(failing[0])]
+
+    # a nonzero scalar into gr keeps the lower terms gr drops
+    wrong = ConeReduction(rees=RA, scalar=2, target=m0.target)
+    failing2 = failing_pairs(RA, wrong, window)
+    assert check_reduction_tables(RA, (wrong,)) == [not_multiplicative_at(failing2[0], 2)]
 
 
 def test_products_make_no_group_elements(rees3, weyl3, monkeypatch):
@@ -212,18 +229,15 @@ def test_products_make_no_group_elements(rees3, weyl3, monkeypatch):
 
 
 def test_reduction_maps_unit_to_unit(rees3, weyl3):
-    m0 = reduce_canonical(rees3, "m0")
-    m1 = reduce_canonical(rees3, "m1")
+    m0, m1 = canonical(rees3)
     one = rees3.algebra.one_element()
-    assert m0.map_element(one) == gr_of(weyl3).one_element()
-    assert m1.map_element(one) == weyl3.one_element()
-    with pytest.raises(DomainError):
-        reduce_canonical(rees3, "m2")
+    assert image(m0, one) == gr_of(weyl3).one_element()
+    assert image(m1, one) == weyl3.one_element()
 
 
 def test_m0_recovers_quantum_plane_table(rees3, weyl3):
     # structure constants of the m0 quotient equal the graded table
-    m0 = reduce_canonical(rees3, "m0")
+    m0, _ = canonical(rees3)
     G = gr_of(weyl3)
     RAlg = rees3.algebra
     for a in range(3):
@@ -232,13 +246,13 @@ def test_m0_recovers_quantum_plane_table(rees3, weyl3):
             for c in range(3):
                 for d in range(3):
                     v = ((c, d), G.degree_of((c, d)))
-                    got = m0.map_element(RAlg.mul_indices(u, v))
+                    got = image(m0, RAlg.mul_indices(u, v))
                     want = G.mul_indices((a, b), (c, d))
                     assert got == want
 
 
 def test_m1_recovers_weyl_table(rees3, weyl3):
-    m1 = reduce_canonical(rees3, "m1")
+    _, m1 = canonical(rees3)
     RAlg = rees3.algebra
     for a in range(3):
         for b in range(3):
@@ -246,7 +260,7 @@ def test_m1_recovers_weyl_table(rees3, weyl3):
             for c in range(3):
                 for d in range(3):
                     v = ((c, d), g1(c + d))
-                    got = m1.map_element(RAlg.mul_indices(u, v))
+                    got = image(m1, RAlg.mul_indices(u, v))
                     want = weyl3.mul_indices((a, b), (c, d))
                     assert got == want
 
@@ -365,33 +379,25 @@ def test_windowed_enumeration_needs_rank_one():
         list(enumerate_admissible(RA, GroupElement((2, 2))))
 
 
-def test_generic_cone_reductions_are_homomorphisms(rees3):
+def test_generic_cone_reductions_are_homomorphisms(weyl3):
     # the remaining maximal ideals of the cone line: send the parameter to
     # any nonzero scalar; the quotient table matches the base algebra table
-    from frobex.rees import cone_reduction
-
-    for c in (2, 3, 5):
-        red = cone_reduction(rees3, c)
-        assert red.target is rees3.base
-        assert check_reduction_tables(rees3, (red,), g1(5)) == {red: None}
+    RA = rees_of(weyl3, g1(5))
+    reductions = [cone_reduction(RA, c) for c in (2, 3, 5)]
+    assert all(red.target is weyl3 for red in reductions)
+    assert check_reduction_tables(RA, reductions) == [None, None, None]
 
 
-def test_cone_reduction_scalar_powers(rees3, weyl3):
-    from frobex.rees import cone_reduction
-
+def test_cone_reduction_scalar_powers(rees3):
     red = cone_reduction(rees3, 3)
     # the cone exponent is the full degree: (y, 3) maps to 3^3 * y
-    el = red.map_element(rees3.algebra.monomial(((1, 0), g1(3))))
-    assert el == Element(weyl3.field, {(1, 0): pow(3, 3, 7)})
+    assert red.map_term(((1, 0), g1(3))) == ((1, 0), pow(3, 3, 7))
 
 
 def test_cone_reduction_specializes_to_m0_m1(rees3):
-    from frobex.rees import cone_reduction, reduce_canonical
-
-    m0 = reduce_canonical(rees3, "m0")
-    m1 = reduce_canonical(rees3, "m1")
-    assert m0.scalar == 0 and cone_reduction(rees3, 0).target.mode == "graded"
+    m0, m1 = canonical(rees3)
+    assert m0.scalar == 0 and m0.target.mode == "graded"
     assert m1.scalar == 1 and m1.target is rees3.base
     idx = ((1, 1), g1(4))
-    assert m0.map_element(rees3.algebra.monomial(idx)).is_zero()
-    assert m1.map_element(rees3.algebra.monomial(idx)) == rees3.base.monomial((1, 1))
+    assert m0.map_term(idx) is None
+    assert m1.map_term(idx) == ((1, 1), 1)
