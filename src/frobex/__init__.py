@@ -50,7 +50,6 @@ from .grassmannian import (
     verify_freeness_window,
 )
 from .grpdeg import (
-    NEG_INF,
     DegreeMultiset,
     GroupElement,
     in_positive_cone,

@@ -23,7 +23,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import AlgebraDefinitionError, ConfigError, DomainError, UnsupportedStructure
-from .grpdeg import NEG_INF, Degree, GroupElement
+from .grpdeg import GroupElement
 
 # Rewriting oracles abort after this many steps rather than truncate silently.
 DEFAULT_STEP_BUDGET = 10**6
@@ -353,11 +353,11 @@ def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:
     return Element(A.field, acc)
 
 
-def filtered_degree(A: BasedAlgebra, a: Element) -> Degree:
-    """Max degree over the support; NEG_INF for the zero element."""
+def filtered_degree(A: BasedAlgebra, a: Element) -> GroupElement:
+    """Max degree over the support; the zero element has none."""
     if a.is_zero():
-        return NEG_INF
-    return max((A.degree_of(idx) for idx in a.terms), key=lambda g: g.coords)
+        raise DomainError("filtered degree of 0")
+    return max(A.degree_of(idx) for idx in a.terms)
 
 
 def top_symbol(A: BasedAlgebra, a: Element) -> Element:

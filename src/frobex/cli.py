@@ -42,7 +42,6 @@ from .grassmannian import (
     default_s_matrix,
     degree_census,
 )
-from .grpdeg import GroupElement
 from .qas import QuantumAffineSpace, make_qas, quantum_plane_of_weyl, quantum_weyl
 from .rees import check_cone_freeness, check_reduction_tables, cone_reduction, rees_extension
 
@@ -137,8 +136,7 @@ def run_qweyl_transfer(args):
 def run_rees_demo(args):
     W = quantum_weyl(args.ell, args.p, seed=args.seed)
     ext = ell_centre_extension(W, args.ell)
-    window = GroupElement((args.window,)) if args.window is not None else None
-    RA, rext = rees_extension(ext, window=window)
+    RA, rext = rees_extension(ext, window=args.window)
     rng = random.Random(args.seed)
     cert = verify_frobenius(rext, rng=rng)
     m0, m1 = (
@@ -155,7 +153,7 @@ def run_rees_demo(args):
         "p": W.field.p,
         "ell": args.ell,
         "seed": args.seed,
-        "window": RA.window.coords[0],
+        "window": RA.window,
         "zeta": W.field.zeta,
     }
     body = [

@@ -492,7 +492,7 @@ def mapping_degree(E: CentralFreeExtension) -> Optional[GroupElement]:
         raise HomogeneityError(
             f"form on {E.name} has inconsistent degrees {sorted(s.coords for s in shifts)}"
         )
-    return max(shifts, key=lambda g: g.coords)
+    return max(shifts)
 
 
 def verify_frobenius(
@@ -769,6 +769,12 @@ def check_same_products(A1: BasedAlgebra, A2: BasedAlgebra, indices) -> None:
                 )
 
 
+def product_window(E: CentralFreeExtension) -> GroupElement:
+    """Three times the top basis degree of E: the degree bound of the
+    windowed checks, which covers the products they look at."""
+    return 3 * max(E.ambient.degree_of(b) for b in E.basis)
+
+
 def lift_form(
     E_filtered: CentralFreeExtension,
     graded_ext: CentralFreeExtension,
@@ -786,12 +792,7 @@ def lift_form(
         raise DomainError("second argument must be a graded extension")
     grA = gr_of(E_filtered.ambient)
     if grA.enumerate_up_to is not None:
-        top = max(
-            (E_filtered.ambient.degree_of(b) for b in E_filtered.basis),
-            key=lambda g: g.coords,
-        )
-        window = 3 * top
-        indices = list(grA.enumerate_up_to(window))
+        indices = list(grA.enumerate_up_to(product_window(E_filtered)))
     else:
         indices = list(E_filtered.basis)
     check_same_products(grA, graded_ext.ambient, indices)

@@ -1,9 +1,8 @@
 """Totally ordered abelian groups realized as Z^n, and degree multisets.
 
 All degrees in this package live in Z^n under the lexicographic order, which
-is total and compatible with addition.  A single bottom element ``NEG_INF``
-is adjoined as the degree of the zero element of any filtered space; it
-compares below every group element and is absorbing under addition.
+is total and compatible with addition.  The zero element of a filtered
+space has no degree.
 
 The group is written additively.  Degree multisets carry the symmetry
 obstruction used to refute Frobenius extensions: the multiset D of basis
@@ -15,7 +14,7 @@ candidate.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, DomainError
 
@@ -51,8 +50,6 @@ class GroupElement:
             )
 
     def __add__(self, other):
-        if other is NEG_INF:
-            return NEG_INF
         self._check(other)
         return GroupElement(a + b for a, b in zip(self.coords, other.coords))
 
@@ -69,34 +66,24 @@ class GroupElement:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if other is NEG_INF:
-            return False
         return isinstance(other, GroupElement) and self.coords == other.coords
 
     def __hash__(self):
         return hash(self.coords)
 
     def __lt__(self, other):
-        if other is NEG_INF:
-            return False
         self._check(other)
         return self.coords < other.coords
 
     def __le__(self, other):
-        if other is NEG_INF:
-            return False
         self._check(other)
         return self.coords <= other.coords
 
     def __gt__(self, other):
-        if other is NEG_INF:
-            return True
         self._check(other)
         return self.coords > other.coords
 
     def __ge__(self, other):
-        if other is NEG_INF:
-            return True
         self._check(other)
         return self.coords >= other.coords
 
@@ -105,49 +92,6 @@ class GroupElement:
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-class _MinusInfinity:
-    """Degree of the zero element.  Below everything, absorbing under +."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("frobex-neg-inf")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _MinusInfinity()
-
-Degree = Union[GroupElement, _MinusInfinity]
 
 
 def in_positive_cone(g: GroupElement) -> bool:
@@ -189,7 +133,7 @@ class DegreeMultiset:
         return self.entries.get(d, 0)
 
     def support(self) -> Iterator[GroupElement]:
-        return iter(sorted(self.entries, key=lambda g: g.coords))
+        return iter(sorted(self.entries))
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -204,10 +148,10 @@ class DegreeMultiset:
         return isinstance(other, DegreeMultiset) and self.entries == other.entries
 
     def min(self) -> GroupElement:
-        return min(self.entries, key=lambda g: g.coords)
+        return min(self.entries)
 
     def max(self) -> GroupElement:
-        return max(self.entries, key=lambda g: g.coords)
+        return max(self.entries)
 
     def without_one(self, d: GroupElement) -> "DegreeMultiset":
         """Copy with one occurrence of d removed."""
@@ -222,7 +166,7 @@ class DegreeMultiset:
         return out
 
     def __repr__(self):
-        parts = [f"{g}^{m}" for g, m in sorted(self.entries.items(), key=lambda t: t[0].coords)]
+        parts = [f"{g}^{m}" for g, m in sorted(self.entries.items())]
         return "{" + ", ".join(parts) + "}"
 
 

@@ -1,18 +1,18 @@
 """Rees algebras of non-negatively filtered based algebras.
 
 The Rees algebra collects the filtration pieces R_g along the positive cone:
-basis indices are pairs (b, g) with b a base index, g a cone element and
-deg(b) <= g, multiplied by (b, g) * (c, h) = sum of (t, g + h) over the base
-product terms (every t stays admissible because the base filtration is
+basis indices are pairs (b, g) with b a base index, g a non-negative integer
+and deg(b) <= g, multiplied by (b, g) * (c, h) = sum of (t, g + h) over the
+base product terms (every t stays admissible because the base filtration is
 submultiplicative).  Setting the cone parameter to 0 recovers the associated
 graded algebra; setting it to 1 recovers the base algebra.  Both reductions
 are exposed as explicit quotient maps with exhaustive windowed checks.
 
 Rees algebras are infinite; every verification here is performed degree by
 degree inside a finite window and is labeled as a windowed verification,
-not a proof.  Windowed enumeration and evaluation are implemented for
-rank-one degree groups (all fixtures that exercise this module filter over
-the integers); the algebra construction itself works for any Z^n.
+not a proof.  The base must be filtered by a rank-one degree group (the
+integers): ``rees_of`` refuses any other, so cone degrees, windows and
+shifts are plain ints.
 """
 
 from __future__ import annotations
@@ -24,14 +24,19 @@ from typing import Iterator, Optional
 
 from .algcore import BasedAlgebra, Element, gr_of
 from .errors import DomainError, UnsupportedStructure
-from .frobenius import CentralFreeExtension, ProjectionForm
-from .grpdeg import GroupElement, in_positive_cone
+from .frobenius import CentralFreeExtension, ProjectionForm, product_window
+from .grpdeg import GroupElement
+
+
+def _degree(A: BasedAlgebra, b) -> int:
+    """deg b in the rank-one base A, as an int."""
+    return A.degree_of(b).coords[0]
 
 
 @dataclass(frozen=True)
 class ReesAlgebra:
     base: BasedAlgebra
-    window: GroupElement
+    window: int
     algebra: BasedAlgebra
 
     @property
@@ -39,63 +44,53 @@ class ReesAlgebra:
         return self.base.field
 
 
-def rees_of(A: BasedAlgebra, window: GroupElement) -> ReesAlgebra:
-    """Build the Rees algebra of a non-negatively filtered based algebra.
+def rees_of(A: BasedAlgebra, window: int) -> ReesAlgebra:
+    """Build the Rees algebra of a non-negatively filtered based algebra
+    whose degree group has rank one.
 
     The window bounds the enumerations performed by the checking helpers;
     multiplication itself is exact and unwindowed.
     """
-    if not in_positive_cone(window):
-        raise DomainError(f"window {window} is not in the positive cone")
+    if len(A.degree_of(A.one)) != 1:
+        raise UnsupportedStructure(f"the Rees algebra of {A.name} needs a rank-one degree group")
+    if window < 0:
+        raise DomainError(f"window {window} is negative")
     fld = A.field
-    dim = len(window)
-    sums: dict = {}  # (g.coords, h.coords) -> g + h, so no product adds degrees
 
     def mul(i, j):
         (b, g), (c, h) = i, j
+        gh = g + h
         prod = A.mul_indices(b, c)
-        key = (g.coords, h.coords)
-        gh = sums.get(key)
-        if gh is None:
-            gh = sums[key] = g + h
         return Element.reduced(fld, {(t, gh): coeff for t, coeff in prod.terms.items()})
 
     def index_str(idx):
         b, g = idx
         return f"({A.index_str(b)}, t^{g})"
 
-    one = (A.one, GroupElement.zero(dim))
-    gens = tuple((g, A.degree_of(g)) for g in A.generator_indices)
-    names = A.generator_names
-    if dim == 1:
-        gens = gens + ((A.one, GroupElement((1,))),)
-        names = names + ("t",)
-
     algebra = BasedAlgebra(
         field=fld,
         mode="graded",
-        one=one,
-        degree_of=lambda idx: idx[1],
+        one=(A.one, 0),
+        # the certificate code measures degrees as group elements
+        degree_of=lambda idx: GroupElement((idx[1],)),
         mul_indices=mul,
         index_str=index_str,
-        generator_indices=gens,
-        generator_names=names,
+        generator_indices=tuple((g, _degree(A, g)) for g in A.generator_indices) + ((A.one, 1),),
+        generator_names=A.generator_names + ("t",),
         name=f"rees({A.name})",
-        index_key=lambda idx: (idx[1].coords, idx[0]),
+        index_key=lambda idx: (idx[1], idx[0]),
     )
     return ReesAlgebra(base=A, window=window, algebra=algebra)
 
 
-def enumerate_admissible(RA: ReesAlgebra, bound: GroupElement) -> Iterator[tuple]:
-    """All admissible (b, g) with g <= bound, for rank-one degree groups."""
-    if len(bound) != 1:
-        raise UnsupportedStructure("windowed enumeration needs a rank-one degree group")
+def enumerate_admissible(RA: ReesAlgebra, bound: int) -> Iterator[tuple]:
+    """All admissible (b, g) with g <= bound, by g and then in the base's
+    enumeration order."""
     if RA.base.enumerate_up_to is None:
         raise UnsupportedStructure(f"{RA.base.name} does not enumerate its indices")
-    for g in range(bound.coords[0] + 1):
-        ge = GroupElement((g,))
-        for b in RA.base.enumerate_up_to(ge):
-            yield (b, ge)
+    for g in range(bound + 1):
+        for b in RA.base.enumerate_up_to(GroupElement((g,))):
+            yield (b, g)
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,7 @@ class ConeReduction:
     The cone parameter is sent to the given scalar: 0 recovers the
     associated graded algebra, 1 recovers the base algebra, and any other
     scalar gives a quotient isomorphic to the base with rescaled filtration
-    pieces (the remaining maximal ideals of the cone line).  Scalars other
-    than 0 and 1 need a rank-one degree group to exponentiate.
+    pieces (the remaining maximal ideals of the cone line).
     """
 
     rees: ReesAlgebra
@@ -122,14 +116,8 @@ class ConeReduction:
         """
         b, g = idx
         if self.scalar == 0:
-            return (b, 1) if g == self.rees.base.degree_of(b) else None
-        if self.scalar == 1:
-            return (b, 1)
-        if len(g) != 1:
-            raise UnsupportedStructure(
-                "cone scalars other than 0 and 1 need a rank-one degree group"
-            )
-        return (b, pow(self.scalar, g.coords[0], self.target.field.p))
+            return (b, 1) if g == _degree(self.rees.base, b) else None
+        return (b, pow(self.scalar, g, self.target.field.p))
 
 
 def cone_reduction(RA: ReesAlgebra, scalar: int) -> ConeReduction:
@@ -185,12 +173,12 @@ def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
         else:
             result.append(None)
             live.append((len(result) - 1, red, {i: red.map_term(i) for i in indices}))
-    limit = RA.window.coords[0]
+    limit = RA.window
     # ends[h] = number of indices of cone degree <= h
-    counts = Counter(g.coords[0] for _, g in indices)
+    counts = Counter(g for _, g in indices)
     ends = list(accumulate(counts[h] for h in range(limit + 1)))
     for u in indices:
-        for v in indices[: ends[limit - u[1].coords[0]]]:
+        for v in indices[: ends[limit - u[1]]]:
             if not live:
                 return result
             prod = RAlg.mul_indices(u, v)
@@ -203,15 +191,16 @@ def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
 
 
 def check_cone_freeness(RA: ReesAlgebra) -> None:
-    """Spot check that the degree-matched pairs (b, deg b) generate the Rees
-    algebra freely over the cone: every admissible (b, g) in the Rees
-    algebra's window factors exactly as (b, deg b) * (1, g - deg b)."""
+    """Check exhaustively within the Rees algebra's window that the
+    degree-matched pairs (b, deg b) generate it freely over the cone: every
+    admissible (b, g) in the window factors exactly as
+    (b, deg b) * (1, g - deg b)."""
     A = RA.base
     RAlg = RA.algebra
-    for b, ge in enumerate_admissible(RA, RA.window):
-        db = A.degree_of(b)
-        if RAlg.mul_indices((b, db), (A.one, ge - db)) != RAlg.monomial((b, ge)):
-            raise DomainError(f"({b}, {ge}) does not factor through the cone")
+    for b, g in enumerate_admissible(RA, RA.window):
+        db = _degree(A, b)
+        if RAlg.mul_indices((b, db), (A.one, g - db)) != RAlg.monomial((b, g)):
+            raise DomainError(f"({b}, {g}) does not factor through the cone")
 
 
 class ReesEngine:
@@ -221,23 +210,20 @@ class ReesEngine:
     coefficient of (r, g) at (b, deg b) is the base coefficient shifted to
     cone position g - deg b.  Evaluation (for determinant tests) sends a
     subring index (s, g) to eval(s) * t^(g - deg s), which is a ring map
-    Rees(S) -> F_p; rank-one degree groups only.
+    Rees(S) -> F_p.
     """
 
     def __init__(self, RA: ReesAlgebra, base_engine):
-        if len(RA.window) != 1:
-            raise UnsupportedStructure("Rees extensions need a rank-one degree group")
         self.rees = RA
         self.algebra = RA.algebra
         self.base_engine = base_engine
         A = RA.base
         self.basis = tuple(
-            sorted(((b, A.degree_of(b)) for b in base_engine.basis),
-                   key=self.algebra.index_key)
+            sorted(((b, _degree(A, b)) for b in base_engine.basis), key=self.algebra.index_key)
         )
         self.subring_generators = tuple(
-            (s, A.degree_of(s)) for s in base_engine.subring_generators
-        ) + ((A.one, GroupElement((1,))),)
+            (s, _degree(A, s)) for s in base_engine.subring_generators
+        ) + ((A.one, 1),)
         self.point_len = base_engine.point_len + 1
 
     def decompose(self, y: Element) -> dict:
@@ -245,12 +231,12 @@ class ReesEngine:
         fld = A.field
         slots: dict = {}
         for (idx, g), c in y.terms.items():
-            if not (A.degree_of(idx) <= g):
+            if _degree(A, idx) > g:
                 raise DomainError(f"({idx}, {g}) is not admissible")
             for r, z in self.base_engine.decompose(A.monomial(idx, c)).items():
-                key = (r, A.degree_of(r))
-                shift = g - A.degree_of(r)
-                acc = slots.setdefault(key, {})
+                dr = _degree(A, r)
+                shift = g - dr
+                acc = slots.setdefault((r, dr), {})
                 for sidx, sc in z.terms.items():
                     skey = (sidx, shift)
                     acc[skey] = (acc.get(skey, 0) + sc) % fld.p
@@ -260,41 +246,35 @@ class ReesEngine:
         sidx, g = idx
         p = self.rees.base.field.p
         base_val = self.base_engine.eval_index(sidx, point[:-1])
-        shift = (g - self.rees.base.degree_of(sidx)).coords[0]
-        return base_val * pow(point[-1] % p, shift, p) % p
+        return base_val * pow(point[-1] % p, g - _degree(self.rees.base, sidx), p) % p
 
     def poly_degree(self, idx) -> int:
         sidx, g = idx
-        shift = (g - self.rees.base.degree_of(sidx)).coords[0]
-        return self.base_engine.poly_degree(sidx) + shift
+        return self.base_engine.poly_degree(sidx) + g - _degree(self.rees.base, sidx)
 
     def random_index(self, rng) -> tuple:
         b = self.base_engine.random_index(rng)
-        extra = rng.randrange(0, 2)
-        return (b, self.rees.base.degree_of(b) + GroupElement((extra,)))
+        return (b, _degree(self.rees.base, b) + rng.randrange(0, 2))
 
 
 def rees_extension(
-    E: CentralFreeExtension, window: Optional[GroupElement] = None
+    E: CentralFreeExtension, window: Optional[int] = None
 ) -> tuple[ReesAlgebra, CentralFreeExtension]:
     """The validated extension Rees(S) inside Rees(R), with the transported form.
 
     A projection onto base slot s becomes the projection onto the Rees slot
     (s, deg s), which sends (r, g) to (Phi(r), g - deg s): homogeneous of
-    the base form's mapping degree -deg s.  Default window: three times the
-    top basis degree of the extension under test, which covers every
-    product the windowed checks look at.
+    the base form's mapping degree -deg s.  Default window:
+    ``product_window(E)``, which covers every product the windowed checks
+    look at.
     """
     if not isinstance(E.form, ProjectionForm):
         raise UnsupportedStructure("can only transport slot-projection forms")
     A = E.ambient
-    top = max((A.degree_of(b) for b in E.basis), key=lambda g: g.coords)
-    if window is None:
-        window = 3 * top
-    RA = rees_of(A, window)
+    RA = rees_of(A, product_window(E).coords[0] if window is None else window)
     engine = ReesEngine(RA, E.engine)
     s = E.form.slot
-    form = ProjectionForm(engine, (s, A.degree_of(s)))
+    form = ProjectionForm(engine, (s, _degree(A, s)))
     ext = CentralFreeExtension(RA.algebra, engine, form, name=f"rees({E.name})")
     ext.validate()
     return RA, ext

@@ -103,6 +103,14 @@ def test_rees_demo_window_zero_is_honoured(tmp_path):
     assert "m0_table: match" in text
 
 
+def test_rees_demo_negative_window_exits_two(tmp_path, capsys):
+    code, _ = run(tmp_path, "rees-demo", "--ell", "2", "--window", "-1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frobex: input error:") and "-1" in err
+    assert "Traceback" not in err
+
+
 def test_nakayama_trivial_for_commutative(tmp_path):
     code, text = run(
         tmp_path, "nakayama", "--ell", "3", "--p", "7", "--cmatrix", "0 0; 0 0"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from frobex.errors import DimensionMismatch, DomainError
 from frobex.grpdeg import (
-    NEG_INF,
     DegreeMultiset,
     GroupElement,
     in_positive_cone,
@@ -48,14 +47,6 @@ def test_positive_cone_examples():
     assert in_positive_cone(g(0, 0))
     assert in_positive_cone(g(1, -5))
     assert not in_positive_cone(g(-1, 100))
-
-
-def test_neg_inf_is_bottom_and_absorbing():
-    assert NEG_INF < g(-100, -100)
-    assert not (NEG_INF > g(0))
-    assert NEG_INF + g(3, 4) is NEG_INF
-    assert g(3, 4) + NEG_INF is NEG_INF
-    assert NEG_INF <= NEG_INF and NEG_INF == NEG_INF
 
 
 def test_witness_singleton():

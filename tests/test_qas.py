@@ -294,8 +294,8 @@ def test_trusted_products_are_reduced():
             assert_reduced(prod)
             assert prod == qweyl_product_oracle(W.field, i, j)
             assert_reduced(G.mul_indices(i, j))
-    RA = rees_of(W, GroupElement((6,)))
-    adm = list(enumerate_admissible(RA, GroupElement((3,))))
+    RA = rees_of(W, 6)
+    adm = list(enumerate_admissible(RA, 3))
     for u in adm:
         for v in adm:
             assert_reduced(RA.algebra.mul_indices(u, v))
