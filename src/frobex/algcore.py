@@ -129,7 +129,7 @@ class RootField:
                 return z
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RootField)
             and (self.p, self.ell, self.zeta) == (other.p, other.ell, other.zeta)
         )

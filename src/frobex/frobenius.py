@@ -132,8 +132,11 @@ class ProjectionForm:
     decomposition (the lift recipe is literally 'same slot, new engine'),
     and the Rees form projects onto the slot (s, deg s) of the Rees engine.
     The dual basis functional of basis element b is the projection onto
-    slot b.  Every missing slot reads as one zero held by the form; a
-    form's degree is what ``mapping_degree`` measures.
+    slot b.  A call splits every term of its input through the engine's
+    memoized ``split`` and adds up only the terms that land on its slot; an
+    empty slot reads as the one zero held by the form, so only a nonzero
+    slot builds an element.  A form's degree is what ``mapping_degree``
+    measures.
     """
 
     __slots__ = ("engine", "slot", "zero")
@@ -144,7 +147,13 @@ class ProjectionForm:
         self.zero = engine.algebra.zero()
 
     def __call__(self, y: Element) -> Element:
-        return self.engine.decompose(y).get(self.slot, self.zero)
+        split, slot, p = self.engine.split, self.slot, self.zero.field.p
+        acc: dict = {}
+        for idx, c in y.terms.items():
+            r, s, inv = split(idx)
+            if r == slot:
+                acc[s] = (acc.get(s, 0) + c * inv) % p
+        return Element(self.zero.field, acc) if any(acc.values()) else self.zero
 
     def __repr__(self):
         return f"ProjectionForm(slot={self.slot})"

@@ -133,38 +133,38 @@ class RestrictedBasisEngine:
             for i in range(self.width)
         )
         self.point_len = self.width
-        # index -> (r, s, 1/c) from _split; only indices that split are kept
+        # index -> (r, s, 1/c) from split; only indices that split are kept
         self._splits: dict = {}
 
     def top_slot(self) -> tuple:
         return (self.ell - 1,) * self.width
 
     def decompose(self, y: Element) -> dict:
-        """{r: z_r} with y = sum over r of z_r * x^r, each z_r a nonzero
-        element of the central subring."""
+        """{r: z_r} with y = sum over r of z_r * b_r, each z_r a nonzero
+        element of the central subring; one ``split`` per term of y."""
         fld = self.algebra.field
-        splits = self._splits
         slots: dict = {}
         for idx, c in y.terms.items():
-            split = splits.get(idx)
-            if split is None:
-                split = splits[idx] = self._split(idx)
-            r, s, inv = split
+            r, s, inv = self.split(idx)
             acc = slots.setdefault(r, {})
             acc[s] = (acc.get(s, 0) + c * inv) % fld.p
         return {r: z for r, acc in slots.items() if (z := Element(fld, acc))}
 
-    def _split(self, idx) -> tuple:
-        """(r, s, 1/c) with x^s * x^r = c * x^idx; raises if idx does not split."""
-        A = self.algebra
-        r = tuple(e % self.ell for e in idx)
-        s = tuple(e - e % self.ell for e in idx)
-        pidx, pc = A.mul_indices(s, r).single_term()
-        if pidx != idx:
-            raise DomainError(
-                f"index {idx} does not split over the ell-centre in {A.name}"
-            )
-        return r, s, A.field.inv(pc)
+    def split(self, idx) -> tuple:
+        """(r, s, 1/c) with x^s * x^r = c * x^idx, memoized; raises
+        DomainError, and keeps nothing, if idx does not split."""
+        split = self._splits.get(idx)
+        if split is None:
+            A = self.algebra
+            r = tuple(e % self.ell for e in idx)
+            s = tuple(e - e % self.ell for e in idx)
+            pidx, pc = A.mul_indices(s, r).single_term()
+            if pidx != idx:
+                raise DomainError(
+                    f"index {idx} does not split over the ell-centre in {A.name}"
+                )
+            split = self._splits[idx] = (r, s, A.field.inv(pc))
+        return split
 
     def eval_index(self, idx, point) -> int:
         """Evaluate the central monomial x^idx at x_i^ell -> point[i]."""

@@ -26,6 +26,7 @@ from .algcore import BasedAlgebra, Element, gr_of
 from .errors import DomainError, UnsupportedStructure
 from .frobenius import CentralFreeExtension, ProjectionForm, product_window
 from .grpdeg import GroupElement
+from .qas import RestrictedBasisEngine
 
 
 def _degree(A: BasedAlgebra, b) -> int:
@@ -225,22 +226,25 @@ class ReesEngine:
             (s, _degree(A, s)) for s in base_engine.subring_generators
         ) + ((A.one, 1),)
         self.point_len = base_engine.point_len + 1
+        self._splits: dict = {}
 
-    def decompose(self, y: Element) -> dict:
-        A = self.rees.base
-        fld = A.field
-        slots: dict = {}
-        for (idx, g), c in y.terms.items():
-            if _degree(A, idx) > g:
-                raise DomainError(f"({idx}, {g}) is not admissible")
-            for r, z in self.base_engine.decompose(A.monomial(idx, c)).items():
-                dr = _degree(A, r)
-                shift = g - dr
-                acc = slots.setdefault((r, dr), {})
-                for sidx, sc in z.terms.items():
-                    skey = (sidx, shift)
-                    acc[skey] = (acc.get(skey, 0) + sc) % fld.p
-        return {k: z for k, v in slots.items() if (z := Element(fld, v))}
+    # the engines share one decomposition loop over ``split``
+    decompose = RestrictedBasisEngine.decompose
+
+    def split(self, idx) -> tuple:
+        """((r, deg r), (s, g - deg r), 1/c) for a Rees index (b, g), where
+        (r, s, 1/c) is the base split of b; memoized, and raises DomainError
+        if deg b > g."""
+        split = self._splits.get(idx)
+        if split is None:
+            A = self.rees.base
+            b, g = idx
+            if _degree(A, b) > g:
+                raise DomainError(f"({b}, {g}) is not admissible")
+            r, s, inv = self.base_engine.split(b)
+            dr = _degree(A, r)
+            split = self._splits[idx] = ((r, dr), (s, g - dr), inv)
+        return split
 
     def eval_index(self, idx, point) -> int:
         sidx, g = idx

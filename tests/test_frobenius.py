@@ -11,7 +11,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import frobex.frobenius as frobenius
-from frobex.algcore import filtered_degree, multiply
+from frobex.algcore import Element, filtered_degree, multiply
 from frobex.errors import DomainError, HomogeneityError, UnsupportedStructure
 from frobex.frobenius import (
     CentralFreeExtension,
@@ -33,6 +33,7 @@ from frobex.frobenius import (
 )
 from frobex.grpdeg import DegreeMultiset, GroupElement
 from frobex.qas import RestrictedBasisEngine, make_qas, quantum_plane_of_weyl, quantum_weyl
+from frobex.rees import rees_extension
 from oracles import (
     det_over_s_oracle,
     is_unit_oracle,
@@ -504,6 +505,72 @@ def test_rank_169_verify_and_reduce_stay_small():
         tracemalloc.stop()
     assert cert.verdict == "frobenius" and red.nondegenerate
     assert peak < 4_000_000
+
+
+def test_rank_169_gram_builds_one_element_per_nonzero_entry(monkeypatch):
+    # an entry costs its product and one split lookup; every zero entry is
+    # the form's shared zero, so only the nonzero entries build elements
+    ext = ell_centre_extension(make_qas(2, 13).algebra(), 13)
+    made = []
+    init = Element.__init__
+
+    def counted(el, *args, **kwargs):
+        made.append(el)
+        init(el, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    nonzero = sum(1 for row in ext.gram() for z in row if z)
+    assert nonzero == 169
+    assert len(made) <= nonzero + 1
+
+
+# ---------------------------------------------------------------------------
+# slot projections
+# ---------------------------------------------------------------------------
+
+
+def _raise_exponents(r, ell, rng):
+    """r + ell * k with each k_i in {0, 1, 2}: a term of slot r whose
+    central part reaches x_i^(2 ell)."""
+    return tuple(e + ell * rng.randrange(3) for e in r)
+
+
+def _qas_engine():
+    engine = ell_centre_extension(make_qas(2, 3, 7).algebra(), 3).engine
+    return engine, lambda r, rng: _raise_exponents(r, 3, rng)
+
+
+def _qweyl_engine():
+    engine = ell_centre_extension(quantum_weyl(3), 3).engine
+    return engine, lambda r, rng: _raise_exponents(r, 3, rng)
+
+
+def _rees_engine():
+    W = quantum_weyl(3)
+    _, rext = rees_extension(ell_centre_extension(W, 3))
+
+    def index(slot, rng):
+        b = _raise_exponents(slot[0], 3, rng)
+        return (b, W.degree_of(b).coords[0] + rng.randrange(3))
+
+    return rext.engine, index
+
+
+@pytest.mark.parametrize(
+    "build", [_qas_engine, _qweyl_engine, _rees_engine], ids=["qas", "qweyl", "rees"]
+)
+def test_projection_agrees_with_decomposition(build):
+    engine, index = build()
+    zero = engine.algebra.zero()
+    rng = random.Random(17)
+    for _ in range(30):
+        slots = rng.sample(engine.basis, rng.randrange(1, 4))
+        # up to three terms in each chosen slot
+        terms = {index(r, rng): rng.randrange(1, 7) for r in slots for _ in range(3)}
+        y = Element(engine.algebra.field, terms)
+        dec = engine.decompose(y)
+        for slot in engine.basis:
+            assert ProjectionForm(engine, slot)(y) == dec.get(slot, zero)
 
 
 # ---------------------------------------------------------------------------

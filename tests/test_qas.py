@@ -9,7 +9,7 @@ import pytest
 
 from frobex.algcore import Element, RootField, multiply
 from frobex.errors import DimensionMismatch, DomainError, UnsupportedStructure
-from frobex.frobenius import ell_centre_extension, reassemble
+from frobex.frobenius import ProjectionForm, ell_centre_extension, reassemble
 from frobex.grpdeg import GroupElement
 from frobex.qas import (
     QuantumAffineSpace,
@@ -147,6 +147,29 @@ def test_decompose_split_failures_are_not_memoized():
             engine.decompose(y)
     broken[0] = False
     assert reassemble(engine.algebra, engine.decompose(y)) == y
+
+
+def test_projection_split_failures_are_not_memoized():
+    A = make_qas(2, 3, 7).algebra()
+    broken = [True]
+
+    def mul(i, j):
+        if broken[0] and i == (3, 0):
+            return A.monomial((0, 3))  # x1^3 * x^r lands on the wrong index
+        return A.mul_indices(i, j)
+
+    engine = RestrictedBasisEngine(replace(A, mul_indices=mul), 3)
+    y = A.monomial((4, 1)) + A.monomial((1, 1))
+    # every term is split, also when it would land outside the form's slot
+    for form in (ProjectionForm(engine, (1, 1)), ProjectionForm(engine, (0, 0))):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="does not split"):
+                form(y)
+    with pytest.raises(DomainError, match="does not split"):
+        engine.split((4, 1))
+    broken[0] = False
+    assert engine.split((4, 1)) == ((1, 1), (3, 0), 1)
+    assert ProjectionForm(engine, (1, 1))(y) == A.monomial((3, 0)) + A.one_element()
 
 
 def test_frobenius_form_examples():

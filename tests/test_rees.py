@@ -7,7 +7,7 @@ import pytest
 
 from frobex.algcore import Element, gr_of, multiply
 from frobex.errors import DomainError, UnsupportedStructure
-from frobex.frobenius import ell_centre_extension, reassemble, verify_frobenius
+from frobex.frobenius import ProjectionForm, ell_centre_extension, reassemble, verify_frobenius
 from frobex.grpdeg import GroupElement
 from frobex.qas import quantum_weyl
 from frobex.rees import (
@@ -360,6 +360,18 @@ def test_rees_decomposition_round_trip(weyl3, rees3):
         }
         y = Element(weyl3.field, terms)
         assert reassemble(RAlg, rext.engine.decompose(y)) == y
+
+
+def test_inadmissible_index_is_refused_by_split_and_projection(weyl3):
+    _, rext = rees_extension(ell_centre_extension(weyl3, 3), window=9)
+    engine = rext.engine
+    bad = ((1, 1), 1)  # deg b = 2 > 1
+    with pytest.raises(DomainError, match="not admissible"):
+        engine.split(bad)
+    y = Element(weyl3.field, {bad: 1, ((0, 0), 0): 1})
+    for slot in engine.basis:
+        with pytest.raises(DomainError, match="not admissible"):
+            ProjectionForm(engine, slot)(y)
 
 
 def test_windowed_enumeration_needs_rank_one():
