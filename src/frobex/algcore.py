@@ -167,14 +167,14 @@ class Element:
     __slots__ = ("field", "terms")
 
     def __init__(self, fld: RootField, terms: Optional[dict] = None):
-        object.__setattr__(self, "field", fld)
+        _set_field(self, fld)
         clean = {}
         if terms:
             for idx, c in terms.items():
                 c %= fld.p
                 if c:
                     clean[idx] = c
-        object.__setattr__(self, "terms", clean)
+        _set_terms(self, clean)
 
     @classmethod
     def reduced(cls, fld: RootField, terms: dict) -> "Element":
@@ -184,8 +184,8 @@ class Element:
         in [1, p): it becomes the element's own terms.
         """
         el = object.__new__(cls)
-        object.__setattr__(el, "field", fld)
-        object.__setattr__(el, "terms", terms)
+        _set_field(el, fld)
+        _set_terms(el, terms)
         return el
 
     def __setattr__(self, name, value):
@@ -241,6 +241,11 @@ class Element:
             return "0"
         parts = [f"{c}*[{idx}]" for idx, c in sorted(self.terms.items(), key=lambda t: repr(t[0]))]
         return " + ".join(parts)
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_field = Element.field.__set__
+_set_terms = Element.terms.__set__
 
 
 @dataclass(frozen=True)

@@ -18,32 +18,13 @@ against a word-rewriting oracle rather than assumed.
 from __future__ import annotations
 
 import itertools
+from operator import add, mul
 from typing import Optional
 
 from .algcore import BasedAlgebra, Element, RootField, default_prime
 from .algcore import check_commutation_matrix, exponent_algebra
 from .errors import DimensionMismatch, DomainError
 from .grpdeg import GroupElement, in_positive_cone
-
-
-def normal_order_exponent(cmatrix, a, b) -> int:
-    """zeta-exponent picked up when normal-ordering x^a * x^b.
-
-    Moving each letter x_j of the right factor leftward past the letters
-    x_i (i > j) of the left factor performs a_i * b_j single swaps, each
-    contributing C[i][j].  Tests validate this against a brute-force
-    free-algebra rewriting oracle before anything downstream trusts it.
-    """
-    k = 0
-    for i in range(1, len(a)):
-        ai = a[i]
-        if not ai:
-            continue
-        row = cmatrix[i]
-        for j in range(i):
-            if b[j]:
-                k += row[j] * ai * b[j]
-    return k
 
 
 class QuantumAffineSpace:
@@ -92,18 +73,28 @@ class QuantumAffineSpace:
         return g
 
     def _build_algebra(self) -> BasedAlgebra:
-        fld, C = self.field, self.cmatrix
+        fld, ell = self.field, self.field.ell
+        rows = tuple(row[:i] for i, row in enumerate(self.cmatrix))
+        powers = [fld.zeta_pow(k) for k in range(ell)]
 
-        def mul(a, b):
+        def product(a, b):
+            # Normal-ordering x^a * x^b moves each letter x_j of the right
+            # factor leftward past the letters x_i (i > j) of the left
+            # factor: a_i * b_j single swaps, each contributing C[i][j], so
+            # the zeta-exponent is the sum over i of a_i * (C[i][:i] . b).
+            # Tests validate this against a free-algebra rewriting oracle.
+            k = 0
+            for ai, row in zip(a, rows):
+                if ai:
+                    k += ai * sum(map(mul, row, b))
             # zeta is a unit, so its power is never 0 mod p
-            exps = tuple([x + y for x, y in zip(a, b)])
-            return Element.reduced(fld, {exps: fld.zeta_pow(normal_order_exponent(C, a, b))})
+            return Element.reduced(fld, {tuple(map(add, a, b)): powers[k % ell]})
 
         weights = None
         if self.degree_dim == 1 and all(d.coords[0] > 0 for d in self.degrees):
             weights = tuple(d.coords[0] for d in self.degrees)
         name = f"qas(n={self.n}, ell={fld.ell}, p={fld.p})"
-        return exponent_algebra(fld, self.names, mul, self.monomial_degree, name, weights=weights)
+        return exponent_algebra(fld, self.names, product, self.monomial_degree, name, weights=weights)
 
     def algebra(self) -> BasedAlgebra:
         return self._algebra
@@ -262,8 +253,9 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
 
     def mul(i, j):
         (a1, b1), (a2, b2) = i, j
-        shifted = {(a1 + a, b + b2): c for (a, b), c in expand(b1, a2).items()}
-        return Element.reduced(fld, shifted)
+        chain = expansions.get(b1)
+        terms = chain[a2] if chain is not None and a2 < len(chain) else expand(b1, a2)
+        return Element.reduced(fld, {(a1 + a, b + b2): c for (a, b), c in terms.items()})
 
     def degree_of(idx) -> GroupElement:
         g = degrees.get(idx)

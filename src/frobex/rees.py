@@ -128,26 +128,6 @@ def cone_reduction(RA: ReesAlgebra, scalar: int) -> ConeReduction:
     return ConeReduction(rees=RA, scalar=scalar, target=target)
 
 
-def _maps_product(red: ConeReduction, image: dict, prod: Element, u, v) -> bool:
-    """Whether the reduction sends prod, the Rees product of u and v, to the
-    target's product of their images scaled by their scalars; ``image``
-    holds ``map_term`` of every index in the window."""
-    p = red.target.field.p
-    # a reduction keeps the base index and a product's terms share one cone
-    # degree, so the images of distinct terms are distinct
-    got = {}
-    for t, c in prod.terms.items():
-        # only a base that is not submultiplicative puts a term of a product
-        # of in-window factors outside the window; such a term is mapped here
-        mapped = image[t] if t in image else red.map_term(t)
-        if mapped is not None:
-            got[mapped[0]] = c * mapped[1] % p
-    if image[u] is None or image[v] is None:
-        return not got
-    (bu, cu), (bv, cv) = image[u], image[v]
-    return got == {t: c * cu * cv % p for t, c in red.target.mul_indices(bu, bv).terms.items()}
-
-
 def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
     """Exhaustively verify within the Rees algebra's window that cone
     reductions are algebra maps whose structure constants match their
@@ -165,6 +145,7 @@ def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
     non-multiplicative pair.
     """
     RAlg = RA.algebra
+    p = RA.field.p
     indices = list(enumerate_admissible(RA, RA.window))
     result = []
     live = []  # (position, reduction, index -> map_term) until it fails
@@ -179,13 +160,30 @@ def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
     counts = Counter(g for _, g in indices)
     ends = list(accumulate(counts[h] for h in range(limit + 1)))
     for u in indices:
+        u_image = {k: image[u] for k, _, image in live}  # looked up once per row
         for v in indices[: ends[limit - u[1]]]:
             if not live:
                 return result
-            prod = RAlg.mul_indices(u, v)
+            prod = RAlg.mul_indices(u, v).terms
             for entry in tuple(live):
                 k, red, image = entry
-                if not _maps_product(red, image, prod, u, v):
+                # a reduction keeps the base index and a product's terms share
+                # one cone degree, so the images of distinct terms are distinct
+                got = {}
+                for t, c in prod.items():
+                    # only a base that is not submultiplicative puts a term of
+                    # a product of in-window factors outside the window
+                    mapped = image[t] if t in image else red.map_term(t)
+                    if mapped is not None:
+                        got[mapped[0]] = c * mapped[1] % p
+                iu, iv = u_image[k], image[v]
+                if iu is None or iv is None:
+                    ok = not got
+                else:
+                    scale = iu[1] * iv[1]
+                    want = red.target.mul_indices(iu[0], iv[0]).terms
+                    ok = got == {t: c * scale % p for t, c in want.items()}
+                if not ok:
                     result[k] = f"cone reduction at {red.scalar} is not multiplicative at {u}, {v}"
                     live.remove(entry)
     return result

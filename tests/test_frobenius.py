@@ -11,12 +11,13 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import frobex.frobenius as frobenius
-from frobex.algcore import Element, filtered_degree, multiply
+from frobex.algcore import Element, filtered_degree, gr_of, multiply
 from frobex.errors import DomainError, HomogeneityError, UnsupportedStructure
 from frobex.frobenius import (
     CentralFreeExtension,
     ProjectionForm,
     automorphism,
+    check_same_products,
     det_is_unit,
     dual_basis,
     ell_centre_extension,
@@ -573,6 +574,15 @@ def test_projection_agrees_with_decomposition(build):
             assert ProjectionForm(engine, slot)(y) == dec.get(slot, zero)
 
 
+def test_projection_off_its_slot_is_the_form_zero():
+    A = make_qas(2, 3, 7).algebra()
+    form = ell_centre_extension(A, 3).form  # slot (2, 2)
+    assert form(A.mul_indices((1, 0), (0, 1))) is form.zero
+    assert form(A.zero()) is form.zero
+    on_slot = form(A.mul_indices((2, 1), (3, 1)))
+    assert on_slot and on_slot is not form.zero
+
+
 # ---------------------------------------------------------------------------
 # dual basis
 # ---------------------------------------------------------------------------
@@ -636,6 +646,34 @@ def test_lift_form_rejects_wrong_gr():
     filtered = ell_centre_extension(W, ell)
     with pytest.raises(DomainError):
         lift_form(filtered, graded)
+
+
+def counted(A):
+    """A with its oracle recording each call."""
+    calls = []
+    oracle = A.mul_indices
+
+    def mul(i, j):
+        calls.append((i, j))
+        return oracle(i, j)
+
+    return replace(A, mul_indices=mul), calls
+
+
+def test_check_same_products_makes_each_product_once_in_row_order():
+    W = quantum_weyl(2, 5)
+    G, gr_calls = counted(gr_of(W))
+    plane, plane_calls = counted(quantum_plane_of_weyl(W).algebra())
+    indices = list(G.enumerate_up_to(GroupElement((4,))))
+    check_same_products(G, plane, indices)
+    pairs = [(i, j) for i in indices for j in indices]
+    assert gr_calls == plane_calls == pairs
+
+
+def test_check_same_products_refuses_different_fields():
+    A1, A2 = make_qas(2, 2, 5).algebra(), make_qas(2, 2, 13).algebra()
+    with pytest.raises(DomainError, match=r"qas\(n=2, ell=2, p=5\) and qas\(n=2, ell=2, p=13\)"):
+        check_same_products(A1, A2, [(0, 0), (1, 0)])
 
 
 def test_lift_form_rejects_opaque_forms():
@@ -733,6 +771,17 @@ def test_det_probabilistic_and_inconclusive_paths():
     M5 = [[one5 + big, big], [one5, one5]]
     status = det_is_unit(M5, ext5, None, rng=random.Random(0))
     assert status.kind == "inconclusive"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 1(a): random evaluation certifies det M = X^10 over F_11, "
+    "a non-unit equal to 1 at every nonzero point, as a unit",
+)
+def test_qweyl_slot_with_non_unit_determinant_is_not_frobenius():
+    E = ell_centre_extension(quantum_weyl(5), 5)
+    E = E.with_form(ProjectionForm(E.engine, (4, 2)))
+    assert verify_frobenius(E, rng=random.Random(0)).verdict != "frobenius"
 
 
 def test_zero_degree_subring_generator_is_not_homogeneous_shortcut():

@@ -84,6 +84,21 @@ def test_normal_ordering_matches_word_oracle_exhaustively():
                 assert mul(a, b) == oracle_product(A, a, b)
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5])
+@pytest.mark.parametrize("n", [4, 5])
+def test_normal_ordering_matches_word_oracle_at_n4_and_n5(n, ell):
+    # the ranks the benchmarks and the CLI multiply at, with exponents
+    # beyond ell so the zeta-exponent wraps
+    rng = random.Random(1000 * n + ell)
+    C = random_antisymmetric(n, rng)
+    A = make_qas(n, ell, cmatrix=C)
+    mul = A.algebra().mul_indices
+    for _ in range(40):
+        a = tuple(rng.randrange(0, 2 * ell) for _ in range(n))
+        b = tuple(rng.randrange(0, 2 * ell) for _ in range(n))
+        assert mul(a, b) == oracle_product(A, a, b)
+
+
 def test_normal_ordering_matches_word_oracle_randomized():
     rng = random.Random(7)
     C = random_antisymmetric(2, rng)

@@ -117,15 +117,21 @@ def admissible_in_order(window):
     ]
 
 
-def counted_rees(RA):
+def counted(A):
+    """A with its oracle recording each call."""
     calls = []
-    oracle = RA.algebra.mul_indices
+    oracle = A.mul_indices
 
     def mul(u, v):
         calls.append((u, v))
         return oracle(u, v)
 
-    return replace(RA, algebra=replace(RA.algebra, mul_indices=mul)), calls
+    return replace(A, mul_indices=mul), calls
+
+
+def counted_rees(RA):
+    algebra, calls = counted(RA.algebra)
+    return replace(RA, algebra=algebra), calls
 
 
 def test_reduction_tables_visit_only_in_window_pairs(rees3):
@@ -140,6 +146,25 @@ def test_reduction_tables_visit_only_in_window_pairs(rees3):
         check_reduction_tables(RA, reductions)
         assert len(calls) == len(in_window)
         assert calls == in_window
+
+
+def counted_target(red):
+    target, calls = counted(red.target)
+    return replace(red, target=target), calls
+
+
+def test_reduction_tables_make_every_target_product_afresh(weyl3):
+    # nothing is shared or cached: m1 makes its own target product on every
+    # in-window pair, m0 on every pair of top symbols, in visiting order
+    window = 6
+    adm = admissible_in_order(window)
+    in_window = [(u, v) for u in adm for v in adm if u[1] + v[1] <= window]
+    m0, calls0 = counted_target(cone_reduction(rees_of(weyl3, window), 0))
+    m1, calls1 = counted_target(cone_reduction(m0.rees, 1))
+    assert check_reduction_tables(m0.rees, (m0, m1)) == [None, None]
+    assert calls1 == [(u[0], v[0]) for u, v in in_window]
+    top = [(u[0], v[0]) for u, v in in_window if u[1] == sum(u[0]) and v[1] == sum(v[0])]
+    assert calls0 == top
 
 
 def broken_target(target, bad):
