@@ -64,8 +64,7 @@ def _qas_setup(args):
     that qas-verify and nakayama share."""
     A = _build_qas(args)
     ext = ell_centre_extension(A.algebra(), args.ell)
-    rng = random.Random(args.seed)
-    cert = verify_frobenius(ext, rng=rng)
+    cert = verify_frobenius(ext)
     params = {
         "p": args.p,
         "ell": args.ell,
@@ -76,11 +75,11 @@ def _qas_setup(args):
         "cmatrix": _fmt_matrix(A.cmatrix),
         "degrees": "; ".join(str(d) for d in A.degrees),
     }
-    return A, ext, rng, cert, params
+    return A, ext, cert, params
 
 
 def run_qas_verify(args):
-    A, ext, _, cert, params = _qas_setup(args)
+    A, ext, cert, params = _qas_setup(args)
     body = [
         "[certificate]",
         format_certificate(cert, A.algebra()),
@@ -91,10 +90,10 @@ def run_qas_verify(args):
 
 
 def run_nakayama(args):
-    A, ext, rng, cert, params = _qas_setup(args)
+    A, ext, cert, params = _qas_setup(args)
     tail = []
     if cert.verdict == "frobenius":
-        nak = nakayama_on_generators(ext, cert, rng=rng)
+        nak = nakayama_on_generators(ext, cert, rng=random.Random(args.seed))
         cert.nakayama = nak.images
         cert.nakayama_trivial = nak.trivial
         tail.append(f"nakayama_checked_pairs: {nak.checked_pairs}")
@@ -105,11 +104,10 @@ def run_qweyl_transfer(args):
     W = quantum_weyl(args.ell, args.p, seed=args.seed)
     plane = quantum_plane_of_weyl(W)
     graded = ell_centre_extension(plane.algebra(), args.ell)
-    rng = random.Random(args.seed)
-    graded_cert = verify_frobenius(graded, rng=rng)
+    graded_cert = verify_frobenius(graded)
     filtered = ell_centre_extension(W, args.ell)
-    filtered = filtered.with_form(lift_form(filtered, graded, rng=rng))
-    filtered_cert = verify_frobenius(filtered, rng=rng)
+    filtered = filtered.with_form(lift_form(filtered, graded))
+    filtered_cert = verify_frobenius(filtered)
     rank_equal = graded_cert.rank == filtered_cert.rank
     degree_equal = graded_cert.phi_degree == filtered_cert.phi_degree
     ok = (
@@ -137,8 +135,7 @@ def run_rees_demo(args):
     W = quantum_weyl(args.ell, args.p, seed=args.seed)
     ext = ell_centre_extension(W, args.ell)
     RA, rext = rees_extension(ext, window=args.window)
-    rng = random.Random(args.seed)
-    cert = verify_frobenius(rext, rng=rng)
+    cert = verify_frobenius(rext)
     m0, m1 = (
         "match" if failure is None else f"mismatch ({failure})"
         for failure in check_reduction_tables(RA, (cone_reduction(RA, 0), cone_reduction(RA, 1)))

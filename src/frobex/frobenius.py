@@ -21,11 +21,12 @@ the multiset of basis degrees of a graded Frobenius extension must satisfy
 mult(e) == mult(d - e) for the unique candidate shift d.
 
 Determinant strategy over S, in order: generalized-permutation structure
-(product of pivots, exact), all-scalar matrices (dense determinant mod p,
-exact), homogeneous matrices of total degree zero over a subring whose
-generators all have nonzero degree (the determinant is a scalar, so one
-evaluation is exact), and finally evaluation at random points of Max S
-(probabilistic, confidence reported).
+(product of pivots), all-scalar matrices (dense determinant mod p),
+homogeneous matrices of total degree zero over a subring whose generators
+all have nonzero degree (the determinant is a scalar, so its value at the
+all-ones point is the determinant), and finally the determinant over S
+itself by fraction-free elimination.  Every path is exact: S is a
+polynomial ring over F_p, whose units are the nonzero constants.
 
 The Gram matrix is built once per extension and form and shared by the
 determinant test, the Nakayama solve and reduction at points; see
@@ -256,9 +257,8 @@ def ell_centre_extension(algebra: BasedAlgebra, ell: int, form=None) -> CentralF
 
 @dataclass
 class GramStatus:
-    kind: str  # unit-determinant | singular | probabilistic-unit | inconclusive
+    kind: str  # unit-determinant | singular
     method: str
-    confidence: Optional[float] = None
     detail: str = ""
     # (position, side) of the first basis element without a two-sided witness
     zero_line: Optional[tuple] = None
@@ -269,7 +269,7 @@ class GramStatus:
 
 @dataclass
 class FrobeniusCertificate:
-    verdict: str  # frobenius | not-frobenius | inconclusive
+    verdict: str  # frobenius | not-frobenius
     rank: int
     phi_degree: Optional[GroupElement]
     symmetry_d: Optional[GroupElement]
@@ -293,27 +293,6 @@ def _unit_scalar(E: CentralFreeExtension, el: Element) -> Optional[int]:
         return None
     idx, c = el.single_term()
     return c if idx == E.ambient.one else None
-
-
-def _entry_poly_degree(E: CentralFreeExtension, el: Element) -> int:
-    return max((E.engine.poly_degree(idx) for idx in el.terms), default=0)
-
-
-def _eval_entry(E: CentralFreeExtension, el: Element, point) -> int:
-    p = E.ambient.field.p
-    total = 0
-    for idx, c in el.terms.items():
-        total = (total + c * E.engine.eval_index(idx, point)) % p
-    return total
-
-
-def _eval_matrix(E: CentralFreeExtension, M: list[list[Element]], point) -> list[list[int]]:
-    """M over F_p at a point of Max S."""
-    return [[_eval_entry(E, el, point) for el in row] for row in M]
-
-
-def random_point(E: CentralFreeExtension, rng: random.Random) -> tuple:
-    return tuple(rng.randrange(E.ambient.field.p) for _ in range(E.engine.point_len))
 
 
 @dataclass
@@ -364,25 +343,73 @@ def _gram_structure(M: list[list[Element]], E: CentralFreeExtension) -> GramStru
     return GramStructure(pivot_row=pivot_row if permutation else None, scalars=scalars)
 
 
-# random points of Max S the fallback determinant test evaluates at
-DET_POINTS = 20
+def _poly_cross(a: dict, b: dict, c: dict, d: dict, p: int) -> dict:
+    """a*b - c*d for polynomials {exponent tuple: coeff} over F_p."""
+    out: dict = {}
+    for f, g, sign in ((a, b, 1), (c, d, -1)):
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + sign * c1 * c2
+    return {e: v % p for e, v in out.items() if v % p}
+
+
+def _poly_div(f: dict, g: dict, p: int) -> dict:
+    """f / g over F_p when g divides f, one lex-leading term at a time."""
+    lead = max(g)
+    inv = pow(g[lead], -1, p)
+    f, q = dict(f), {}
+    while f:
+        top = max(f)
+        e = tuple(x - y for x, y in zip(top, lead))
+        c = q[e] = f[top] * inv % p
+        for t, v in g.items():
+            m = tuple(x + y for x, y in zip(e, t))
+            f[m] = (f.get(m, 0) - c * v) % p
+            if not f[m]:
+                del f[m]
+    return q
+
+
+def _poly_det(rows: list[list[dict]], p: int) -> dict:
+    """Determinant of a nonempty square matrix over F_p[z_1, ..., z_k].
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step
+    k every entry right of and below the pivot is a (k+1)-minor of the
+    input, so dividing by the previous pivot is exact.  A zero pivot is
+    swapped with a lower row, which flips the sign.
+    """
+    A = [list(row) for row in rows]
+    n = len(A)
+    sign, prev = 1, None  # None: the first step divides by 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return {}
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                f = _poly_cross(A[k][k], A[i][j], A[i][k], A[k][j], p)
+                A[i][j] = f if prev is None else _poly_div(f, prev, p)
+        prev = A[k][k]
+    return {e: sign * c % p for e, c in A[-1][-1].items()}
 
 
 def det_is_unit(
     M: list[list[Element]],
     E: CentralFreeExtension,
     phi_degree: Optional[GroupElement] = None,
-    rng: Optional[random.Random] = None,
 ) -> GramStatus:
     """Decide whether det(M) is a unit of the commutative subring S.
 
-    Units of the monomial subrings used here are the nonzero scalars, so
-    'singular' below means 'not invertible over S': the determinant is zero
-    or a nonzero non-unit.  See the module docstring for the strategy.
+    S is a polynomial ring over F_p, whose units are the nonzero scalars,
+    so 'singular' below means 'not invertible over S': the determinant is
+    zero or a non-constant.  See the module docstring for the strategy.
     A zero row or column is reported in ``zero_line`` as well as in the
     detail.
     """
-    rng = rng or random.Random(0)
     n = len(M)
     p = E.ambient.field.p
     structure = _gram_structure(M, E)
@@ -410,8 +437,9 @@ def det_is_unit(
         return GramStatus("singular", "scalar-determinant", detail="determinant is 0")
 
     # homogeneous matrix: every expansion term of det has the same degree,
-    # so degree zero forces det into the scalars and one evaluation is exact;
-    # a subring generator of degree 0 would put non-scalars in degree zero
+    # so degree zero forces det into the scalars, which is its value at the
+    # all-ones point; a subring generator of degree 0 would put non-scalars
+    # in degree zero
     A = E.ambient
     if (
         phi_degree is not None
@@ -428,44 +456,25 @@ def det_is_unit(
                 "evaluation-homogeneous",
                 detail=f"determinant homogeneous of nonzero degree {total}",
             )
-        point = random_point(E, rng)
-        if fp_det(_eval_matrix(E, M, point), p):
+        # every monomial of S is 1 at the all-ones point
+        if fp_det([[sum(el.terms.values()) for el in row] for row in M], p):
             return GramStatus("unit-determinant", "evaluation-homogeneous")
         return GramStatus("singular", "evaluation-homogeneous", detail="determinant is 0")
 
-    # fallback: evaluations at random points of Max S.  Differing values or
-    # a zero value prove det is not a unit (a unit is a nonzero constant).
-    # Equal nonzero values: the first point fixes the common value v, and
-    # each further point is a root of det - v, of degree <= bound, with
-    # probability <= bound/p when det != v (Schwartz-Zippel).
-    bound = sum(max(_entry_poly_degree(E, M[i][j]) for j in range(n)) for i in range(n))
-    distinct = {fp_det(_eval_matrix(E, M, random_point(E, rng)), p) for _ in range(DET_POINTS)}
-    if len(distinct) > 1:
-        return GramStatus(
-            "singular",
-            "evaluation-random",
-            detail="determinant is non-constant (evaluations differ)",
-        )
-    if 0 in distinct:
-        return GramStatus(
-            "singular",
-            "evaluation-random",
-            detail=f"all {DET_POINTS} evaluations are 0",
-        )
-    if bound >= p:
-        return GramStatus(
-            "inconclusive",
-            "evaluation-random",
-            confidence=0.0,
-            detail=f"degree bound {bound} >= p = {p}; enlarge the field",
-        )
-    confidence = 1.0 - (bound / p) ** (DET_POINTS - 1)
-    return GramStatus(
-        "probabilistic-unit",
-        "evaluation-random",
-        confidence=confidence,
-        detail=f"failure probability <= ({bound}/{p})^{DET_POINTS - 1}",
+    exponents = E.engine.exponents
+    det = _poly_det(
+        [[{exponents(idx): c for idx, c in el.terms.items()} for el in row] for row in M], p
     )
+    if not det:
+        return GramStatus("singular", "exact-determinant", detail="determinant is 0")
+    degree = max(sum(e) for e in det)
+    if degree:
+        return GramStatus(
+            "singular",
+            "exact-determinant",
+            detail=f"determinant is non-constant (total degree {degree})",
+        )
+    return GramStatus("unit-determinant", "exact-determinant")
 
 
 def _gram_is_homogeneous(M, E, phi_degree) -> bool:
@@ -516,13 +525,12 @@ def verify_frobenius(
     test's structure scan also yields the two-sided witnesses: the basis
     elements before its first zero row or column have both, and that line
     is an ``f1-witness-missing`` refutation.  The verdict is ``frobenius``
-    only when the Gram determinant is a unit (exactly or
-    probabilistically); a missing multiset witness refutes the extension
-    independently of the form.
+    only when the Gram determinant is a unit; a missing multiset witness
+    refutes the extension independently of the form.  Every step is
+    exact, so ``rng`` is ignored; verdictbench's pipeline jobs still pass one.
     """
     if E.form is None:
         raise DomainError("extension carries no form")
-    rng = rng or random.Random(0)
     rank = len(E.basis)
     D = E.degree_multiset()
     symmetry_d = multiset_symmetry_witness(D)
@@ -530,7 +538,7 @@ def verify_frobenius(
     # through the public accessor: verdictbench's tracer sees a job's Gram
     # build, and its rank, at the gram_matrix boundary; the copy is rank^2
     # pointers
-    status = det_is_unit(gram_matrix(E), E, phi_degree, rng=rng)
+    status = det_is_unit(gram_matrix(E), E, phi_degree)
     witnesses = rank if status.zero_line is None else status.zero_line[0]
 
     refutation = None
@@ -552,9 +560,6 @@ def verify_frobenius(
     elif status.kind == "singular":
         verdict = "not-frobenius"
         refutation = {"kind": "gram-not-unit", "detail": status.detail}
-    elif status.kind == "inconclusive":
-        verdict = "inconclusive"
-        notes.append(status.detail)
     else:
         verdict = "frobenius"
     if phi_degree is not None and symmetry_d is not None:
@@ -739,13 +744,23 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
     the given scalars; the verdict is full rank of the induced pairing."""
     basis = E.basis
     point = tuple(point)
-    if len(point) != E.engine.point_len:
-        raise DomainError(
-            f"point has {len(point)} coordinates, expected {E.engine.point_len}"
-        )
+    width = len(E.engine.subring_generators)
+    if len(point) != width:
+        raise DomainError(f"point has {len(point)} coordinates, expected {width}")
+    p = E.ambient.field.p
+    exponents = E.engine.exponents
+
+    def value(el: Element) -> int:
+        total = 0
+        for idx, c in el.terms.items():
+            for e, lam in zip(exponents(idx), point):
+                c = c * pow(lam, e, p) % p
+            total += c
+        return total % p
+
     # the pairing is read from the Gram system, built here if need be
-    pairing = _eval_matrix(E, E.gram(), point)
-    rank = fp_rank(pairing, E.ambient.field.p)
+    pairing = [[value(el) for el in row] for row in E.gram()]
+    rank = fp_rank(pairing, p)
     return ReducedExtension(
         point=point,
         basis=basis,
@@ -792,7 +807,6 @@ def product_window(E: CentralFreeExtension) -> GroupElement:
 def lift_form(
     E_filtered: CentralFreeExtension,
     graded_ext: CentralFreeExtension,
-    rng: Optional[random.Random] = None,
 ):
     """Canonical filtered lift of a verified homogeneous form.
 
@@ -810,7 +824,7 @@ def lift_form(
     else:
         indices = list(E_filtered.basis)
     check_same_products(grA, graded_ext.ambient, indices)
-    cert = verify_frobenius(graded_ext, rng=rng)
+    cert = verify_frobenius(graded_ext)
     if cert.verdict != "frobenius":
         raise DomainError(
             f"graded extension is {cert.verdict}; nothing to lift"
@@ -836,11 +850,8 @@ def format_certificate(cert: FrobeniusCertificate, A: BasedAlgebra) -> str:
         f"symmetry_d: {cert.symmetry_d if cert.symmetry_d is not None else 'none'}",
         f"gram_status: {cert.gram_status.kind}",
         f"gram_method: {cert.gram_status.method}",
+        "gram_confidence: exact",
     ]
-    if cert.gram_status.confidence is not None:
-        lines.append(f"gram_confidence: {cert.gram_status.confidence:.12f}")
-    else:
-        lines.append("gram_confidence: exact")
     if cert.gram_status.detail:
         lines.append(f"gram_detail: {cert.gram_status.detail}")
     lines.append(

@@ -123,7 +123,6 @@ class RestrictedBasisEngine:
             tuple(ell if j == i else 0 for j in range(self.width))
             for i in range(self.width)
         )
-        self.point_len = self.width
         # index -> (r, s, 1/c) from split; only indices that split are kept
         self._splits: dict = {}
 
@@ -157,18 +156,9 @@ class RestrictedBasisEngine:
             split = self._splits[idx] = (r, s, A.field.inv(pc))
         return split
 
-    def eval_index(self, idx, point) -> int:
-        """Evaluate the central monomial x^idx at x_i^ell -> point[i]."""
-        p = self.algebra.field.p
-        val = 1
-        for e, lam in zip(idx, point):
-            if e:
-                val = val * pow(lam % p, e // self.ell, p) % p
-        return val
-
-    def poly_degree(self, idx) -> int:
-        """Total degree of the central monomial in the evaluation variables."""
-        return sum(e // self.ell for e in idx)
+    def exponents(self, idx) -> tuple:
+        """The central monomial x^idx as a monomial in the x_i^ell."""
+        return tuple(e // self.ell for e in idx)
 
     def random_index(self, rng) -> tuple:
         return tuple(rng.randrange(0, 2 * self.ell) for _ in range(self.width))

@@ -207,9 +207,9 @@ class ReesEngine:
 
     The distinguished basis is (b, deg b) for b in the base basis; the slot
     coefficient of (r, g) at (b, deg b) is the base coefficient shifted to
-    cone position g - deg b.  Evaluation (for determinant tests) sends a
-    subring index (s, g) to eval(s) * t^(g - deg s), which is a ring map
-    Rees(S) -> F_p.
+    cone position g - deg b.  A subring index (s, g) has the exponents of s
+    and g - deg s on the cone generator (1, 1), so Rees(S) is a polynomial
+    ring with one variable more than S.
     """
 
     def __init__(self, RA: ReesAlgebra, base_engine):
@@ -223,7 +223,6 @@ class ReesEngine:
         self.subring_generators = tuple(
             (s, _degree(A, s)) for s in base_engine.subring_generators
         ) + ((A.one, 1),)
-        self.point_len = base_engine.point_len + 1
         self._splits: dict = {}
 
     # the engines share one decomposition loop over ``split``
@@ -244,15 +243,9 @@ class ReesEngine:
             split = self._splits[idx] = ((r, dr), (s, g - dr), inv)
         return split
 
-    def eval_index(self, idx, point) -> int:
+    def exponents(self, idx) -> tuple:
         sidx, g = idx
-        p = self.rees.base.field.p
-        base_val = self.base_engine.eval_index(sidx, point[:-1])
-        return base_val * pow(point[-1] % p, g - _degree(self.rees.base, sidx), p) % p
-
-    def poly_degree(self, idx) -> int:
-        sidx, g = idx
-        return self.base_engine.poly_degree(sidx) + g - _degree(self.rees.base, sidx)
+        return self.base_engine.exponents(sidx) + (g - _degree(self.rees.base, sidx),)
 
     def random_index(self, rng) -> tuple:
         b = self.base_engine.random_index(rng)

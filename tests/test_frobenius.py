@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import frobex.frobenius as frobenius
@@ -363,7 +363,7 @@ def test_inhomogeneous_sabotage_is_refuted_in_filtered_view():
     ext = ell_centre_extension(alg, ell)
     top, low = ProjectionForm(ext.engine, (1,)), ProjectionForm(ext.engine, (0,))
     bad = ext.with_form(lambda y: top(y) + low(y))
-    cert = verify_frobenius(bad, rng=random.Random(0))
+    cert = verify_frobenius(bad)
     assert cert.verdict == "not-frobenius"
     assert cert.refutation["kind"] == "gram-not-unit"
     assert reduce_at_point(bad, (1,)).nondegenerate is False
@@ -381,7 +381,6 @@ def test_multiset_refutation_trumps_form():
             self._e = engine
             self.basis = tuple(b for b in engine.basis if b != (ell - 1,) * n)
             self.subring_generators = engine.subring_generators
-            self.point_len = engine.point_len
 
         def __getattr__(self, name):
             return getattr(self._e, name)
@@ -741,47 +740,77 @@ def test_format_certificate_contains_contract_fields():
         assert key in text
 
 
-def test_det_probabilistic_and_inconclusive_paths():
-    # a matrix that is neither a generalized permutation nor scalar nor
-    # homogeneous, with constant determinant 1 + z - z = 1
+def test_det_exact_determinant_paths():
+    # matrices that are neither generalized permutations nor scalar nor
+    # homogeneous settle through the determinant over S
     A = make_qas(1, 2, 31)
     ext = ell_centre_extension(A.algebra(), 2)
     alg = A.algebra()
     one = alg.one_element()
     z = alg.monomial((2,))
-    M = [[one + z, z], [one, one]]
-    status = det_is_unit(M, ext, None, rng=random.Random(0))
-    assert status.kind == "probabilistic-unit"
-    assert status.method == "evaluation-random"
-    # degree bound 1 over F_31; 20 equal values, the first only fixes the value
-    assert status.confidence == 1.0 - (1 / 31) ** 19
-    assert status.detail == "failure probability <= (1/31)^19"
+    # constant determinant 1 + z - z = 1
+    status = det_is_unit([[one + z, z], [one, one]], ext, None)
+    assert (status.kind, status.method, status.detail) == (
+        "unit-determinant", "exact-determinant", ""
+    )
 
     # identically vanishing determinant
-    M0 = [[z, z], [z, z]]
-    status = det_is_unit(M0, ext, None, rng=random.Random(0))
-    assert status.kind == "singular"
+    status = det_is_unit([[z, z], [z, z]], ext, None)
+    assert (status.kind, status.method, status.detail) == (
+        "singular", "exact-determinant", "determinant is 0"
+    )
 
-    # degree bound at least p: the evaluation cannot certify anything
+    # z^6 has degree 6 >= p = 5, and the determinant over S is still 1
     small = make_qas(1, 2, 5)
     ext5 = ell_centre_extension(small.algebra(), 2)
     alg5 = small.algebra()
     one5 = alg5.one_element()
-    big = alg5.monomial((12,))  # z^6, poly degree 6 > p = 5
-    M5 = [[one5 + big, big], [one5, one5]]
-    status = det_is_unit(M5, ext5, None, rng=random.Random(0))
-    assert status.kind == "inconclusive"
+    big = alg5.monomial((12,))
+    status = det_is_unit([[one5 + big, big], [one5, one5]], ext5, None)
+    assert (status.kind, status.method) == ("unit-determinant", "exact-determinant")
+
+    # z^6 - z^2 - 1 is -1 at every point of F_5, and still not a unit
+    status = det_is_unit([[big, one5], [one5 + alg5.monomial((4,)), one5]], ext5, None)
+    assert (status.kind, status.method, status.detail) == (
+        "singular", "exact-determinant", "determinant is non-constant (total degree 6)"
+    )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 1(a): random evaluation certifies det M = X^10 over F_11, "
-    "a non-unit equal to 1 at every nonzero point, as a unit",
+# slots of the q-Weyl ell-centre whose Gram determinants over S are the
+# monomials X^10, X^20 (ell 5, p 11) and X^28, Y^28, X^28 Y^28 (ell 7,
+# p 29): equal to 1 at every point of Max S off the coordinate axes
+@pytest.mark.parametrize(
+    "ell, slot, degree",
+    [(5, (4, 2), 10), (5, (4, 0), 20), (7, (2, 6), 28), (7, (6, 2), 28), (7, (2, 2), 56)],
 )
-def test_qweyl_slot_with_non_unit_determinant_is_not_frobenius():
-    E = ell_centre_extension(quantum_weyl(5), 5)
-    E = E.with_form(ProjectionForm(E.engine, (4, 2)))
-    assert verify_frobenius(E, rng=random.Random(0)).verdict != "frobenius"
+def test_qweyl_slot_with_non_unit_determinant_is_not_frobenius(ell, slot, degree):
+    E = ell_centre_extension(quantum_weyl(ell), ell)
+    cert = verify_frobenius(E.with_form(ProjectionForm(E.engine, slot)))
+    assert cert.verdict == "not-frobenius"
+    assert cert.refutation == {
+        "kind": "gram-not-unit",
+        "detail": f"determinant is non-constant (total degree {degree})",
+    }
+    assert cert.gram_status.method == "exact-determinant"
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_graded_and_filtered_verdicts_agree_on_every_slot(ell):
+    # the main theorem on the q-Weyl ell-centre: the filtered extension
+    # with a slot projection is Frobenius exactly when its associated
+    # graded, the quantum plane with the same slot, is
+    W = quantum_weyl(ell)
+    graded = ell_centre_extension(quantum_plane_of_weyl(W).algebra(), ell)
+    filtered = ell_centre_extension(W, ell)
+    frobenius_slots = []
+    for slot in filtered.basis:
+        g = verify_frobenius(graded.with_form(ProjectionForm(graded.engine, slot)))
+        f = verify_frobenius(filtered.with_form(ProjectionForm(filtered.engine, slot)))
+        assert g.verdict == f.verdict, (slot, g, f)
+        assert {g.gram_status.kind, f.gram_status.kind} <= {"unit-determinant", "singular"}
+        if f.verdict == "frobenius":
+            frobenius_slots.append(slot)
+    assert frobenius_slots == [filtered.engine.top_slot()]
 
 
 def test_zero_degree_subring_generator_is_not_homogeneous_shortcut():
@@ -793,10 +822,10 @@ def test_zero_degree_subring_generator_is_not_homogeneous_shortcut():
     ext = ell_centre_extension(A.algebra(), ell)
     top, side = ProjectionForm(ext.engine, (2, 2)), ProjectionForm(ext.engine, (2, 1))
     bad = ext.with_form(lambda y: top(y) + side(y))
-    cert = verify_frobenius(bad, rng=random.Random(0))
+    cert = verify_frobenius(bad)
     assert cert.verdict == "not-frobenius"
     assert cert.gram_status.kind == "singular"
-    assert cert.gram_status.method == "evaluation-random"
+    assert cert.gram_status.method == "exact-determinant"
     p = A.field.p
     degenerate = [
         lam for lam in itertools.product(range(p), repeat=2)
@@ -852,36 +881,31 @@ def test_det_is_unit_agrees_with_exact_oracle(shape, dim, data):
         phi_degree = mapping_degree(ext)
     except HomogeneityError:
         phi_degree = None
-    status = det_is_unit(M, ext, phi_degree, rng=random.Random(draw(st.integers(0, 99))))
+    status = det_is_unit(M, ext, phi_degree)
     event(f"{status.kind} via {status.method}")
+    assert status.kind in ("unit-determinant", "singular"), status
     unit = is_unit_oracle(det_over_s_oracle(exact, p, n), n)
-    if status.kind in ("unit-determinant", "singular"):
-        assert unit == (status.kind == "unit-determinant"), status
-    elif status.kind == "probabilistic-unit":
-        assert unit, status
+    assert unit == (status.kind == "unit-determinant"), status
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    shape=st.sampled_from([(1, 5), (1, 13), (2, 5), (2, 31)]),
-    k=st.integers(2, 4),
-    unimodular=st.booleans(),
-    data=st.data(),
-)
-def test_det_is_unit_on_matrices_over_s_agrees_with_exact_oracle(shape, k, unimodular, data):
-    # Gram matrices of slot sums are rarely units beyond permutations, so
-    # the probabilistic path is reached here: unimodular matrices are a
-    # unit diagonal under a few row operations with polynomial factors
-    n, p = shape
-    draw = data.draw
-    A = make_qas(n, 2, p)
-    alg = A.algebra()
-    ext = ell_centre_extension(alg, 2)
+@st.composite
+def matrices_over_s(draw):
+    """(p, n, M, unimodular): a k x k matrix M, k in 2..4, over
+    S = F_p[z_1, ..., z_n] inside make_qas(n, 2, p), z_i = x_i^2.
+
+    Gram matrices of slot sums are rarely units beyond permutations, so
+    half the draws are unimodular: a unit diagonal under a few row
+    operations with polynomial factors.
+    """
+    n, p = draw(st.sampled_from([(1, 5), (1, 13), (2, 5), (2, 31)]))
+    k = draw(st.integers(2, 4))
+    alg = make_qas(n, 2, p).algebra()
     monomial = st.tuples(*[st.integers(0, 1)] * n)
     poly = st.dictionaries(monomial, st.integers(1, p - 1), max_size=2).map(
         lambda terms: sum((alg.monomial(tuple(2 * e for e in s), v) for s, v in terms.items()),
                           alg.zero())
     )
+    unimodular = draw(st.booleans())
     if unimodular:
         M = [[alg.monomial((0,) * n, draw(st.integers(1, p - 1))) if i == j else alg.zero()
               for j in range(k)] for i in range(k)]
@@ -891,14 +915,30 @@ def test_det_is_unit_on_matrices_over_s_agrees_with_exact_oracle(shape, k, unimo
             M[i] = [x + multiply(alg, f, y) for x, y in zip(M[i], M[j])]
     else:
         M = [[draw(poly) for _ in range(k)] for _ in range(k)]
-    status = det_is_unit(M, ext, None, rng=random.Random(draw(st.integers(0, 99))))
+    return p, n, M, unimodular
+
+
+def _upper_triangular_z4():
+    # det z^4 over F_5: 1 at every nonzero point, and not a unit
+    alg = make_qas(1, 2, 5).algebra()
+    z, one = alg.monomial((2,)), alg.one_element()
+    above = [[one, one + z, 2 * z], [one + 3 * z, one], [4 * one]]
+    return [[z if i == j else above[i][j - i - 1] if j > i else alg.zero() for j in range(4)]
+            for i in range(4)]
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=(5, 1, _upper_triangular_z4(), False))
+@given(case=matrices_over_s())
+def test_det_is_unit_on_matrices_over_s_agrees_with_exact_oracle(case):
+    p, n, M, unimodular = case
+    ext = ell_centre_extension(make_qas(n, 2, p).algebra(), 2)
+    status = det_is_unit(M, ext, None)
     event(f"{status.kind} via {status.method}")
+    assert status.kind in ("unit-determinant", "singular"), status
     exact = [[{tuple(e // 2 for e in s): v for s, v in el.terms.items()} for el in row]
              for row in M]
     unit = is_unit_oracle(det_over_s_oracle(exact, p, n), n)
-    if status.kind in ("unit-determinant", "singular"):
-        assert unit == (status.kind == "unit-determinant"), status
-    elif status.kind == "probabilistic-unit":
-        assert unit, status
+    assert unit == (status.kind == "unit-determinant"), status
     if unimodular:
         assert unit

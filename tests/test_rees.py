@@ -362,7 +362,7 @@ def test_rees_extension_verifies(weyl3):
     base_cert = verify_frobenius(ext)
     RA, rext = rees_extension(ext)
     assert RA.window == 12  # 3 x top basis degree 2(ell-1)
-    cert = verify_frobenius(rext, rng=random.Random(0))
+    cert = verify_frobenius(rext)
     assert cert.verdict == "frobenius"
     assert cert.rank == base_cert.rank == ell**2
     assert cert.phi_degree == base_cert.phi_degree
