@@ -181,7 +181,8 @@ class Element:
         """Wrap terms as they are, without reducing or copying them.
 
         Only for a fresh dict that nothing else holds, whose values all lie
-        in [1, p): it becomes the element's own terms.
+        in [1, p): it becomes the element's own terms.  Its one caller is
+        the Gram build, which wraps each product oracle's dict for the form.
         """
         el = object.__new__(cls)
         _set_field(el, fld)
@@ -256,14 +257,16 @@ class BasedAlgebra:
     sum component.  mode ``filtered``: products land at or below the degree
     sum.  Degree functions are non-negative on indices; the unit index has
     degree zero.  The oracle must be a pure, total, terminating function of
-    its two indices.
+    its two indices.  It returns the product's terms as a fresh plain dict
+    {index: coefficient in [1, p)}, which the caller owns and may change;
+    the zero product is the empty dict.
     """
 
     field: RootField
     mode: str
     one: object
     degree_of: Callable[[object], GroupElement]
-    mul_indices: Callable[[object, object], Element]
+    mul_indices: Callable[[object, object], dict]
     index_str: Callable[[object], str]
     generator_indices: tuple = ()
     generator_names: tuple = ()
@@ -345,7 +348,8 @@ def check_commutation_matrix(C) -> None:
 
 
 def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:
-    """Bilinear extension of the index oracle to sparse elements."""
+    """Bilinear extension of the index oracle to sparse elements: the
+    oracle's term dicts, scaled and summed."""
     if a.field != A.field or b.field != A.field:
         raise DomainError("elements do not live over the algebra's field")
     acc: dict = {}
@@ -353,7 +357,7 @@ def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:
         for ib, cb in b.terms.items():
             prod = A.mul_indices(ia, ib)
             scale = ca * cb
-            for idx, c in prod.terms.items():
+            for idx, c in prod.items():
                 acc[idx] = acc.get(idx, 0) + scale * c
     return Element(A.field, acc)
 
@@ -384,9 +388,7 @@ def gr_of(A: BasedAlgebra) -> BasedAlgebra:
     def mul(i, j):
         # compared as coordinates, so no GroupElement is made per product
         target = tuple(map(add, degree_of(i).coords, degree_of(j).coords))
-        prod = A.mul_indices(i, j)
-        kept = {t: c for t, c in prod.terms.items() if degree_of(t).coords == target}
-        return Element.reduced(A.field, kept)
+        return {t: c for t, c in A.mul_indices(i, j).items() if degree_of(t).coords == target}
 
     return replace(A, mode="graded", mul_indices=mul, name=f"gr({A.name})")
 
@@ -407,17 +409,16 @@ def check_degree_law(A: BasedAlgebra, pairs: Iterable[tuple]) -> None:
     """Check exact additivity (graded) or submultiplicativity (filtered)."""
     for i, j in pairs:
         prod = A.mul_indices(i, j)
-        if prod.is_zero():
+        if not prod:
             continue
         target = A.degree_of(i) + A.degree_of(j)
-        d = filtered_degree(A, prod)
+        degrees = {A.degree_of(t) for t in prod}
         if A.mode == "graded":
-            degrees = {A.degree_of(t) for t in prod.terms}
             if degrees != {target}:
                 raise AlgebraDefinitionError(
                     f"graded product of {i}, {j} leaves degree {target} in {A.name}"
                 )
-        elif not (d <= target):
+        elif not (max(degrees) <= target):
             raise AlgebraDefinitionError(
                 f"filtered product of {i}, {j} exceeds degree {target} in {A.name}"
             )

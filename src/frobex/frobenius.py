@@ -202,7 +202,8 @@ class CentralFreeExtension:
             A = self.ambient
             zero = A.zero()
             basis = self.basis
-            gram = [[form(A.mul_indices(b, c)) or zero for c in basis] for b in basis]
+            fld, mul = A.field, A.mul_indices
+            gram = [[form(Element.reduced(fld, mul(b, c))) or zero for c in basis] for b in basis]
             self._gram, self._gram_form = gram, form
         return self._gram
 
@@ -355,13 +356,16 @@ def _poly_cross(a: dict, b: dict, c: dict, d: dict, p: int) -> dict:
 
 
 def _poly_div(f: dict, g: dict, p: int) -> dict:
-    """f / g over F_p when g divides f, one lex-leading term at a time."""
+    """f / g over F_p, one lex-leading term at a time; raises DomainError
+    when g does not divide f."""
     lead = max(g)
     inv = pow(g[lead], -1, p)
     f, q = dict(f), {}
     while f:
         top = max(f)
         e = tuple(x - y for x, y in zip(top, lead))
+        if min(e) < 0:
+            raise DomainError("polynomial division is not exact")
         c = q[e] = f[top] * inv % p
         for t, v in g.items():
             m = tuple(x + y for x, y in zip(e, t))
@@ -791,7 +795,7 @@ def check_same_products(A1: BasedAlgebra, A2: BasedAlgebra, indices) -> None:
     mul1, mul2 = A1.mul_indices, A2.mul_indices
     for i in idx_list:
         for j in idx_list:
-            if mul1(i, j).terms != mul2(i, j).terms:
+            if mul1(i, j) != mul2(i, j):
                 raise DomainError(
                     f"product tables disagree at {i}, {j}: "
                     f"{A1.name} vs {A2.name}"

@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .algcore import DEFAULT_STEP_BUDGET, BasedAlgebra, Element, RootField
+from .algcore import DEFAULT_STEP_BUDGET, BasedAlgebra, RootField
 from .algcore import check_commutation_matrix, exponent_algebra, weighted_exponents
 from .errors import BudgetExceeded, DimensionMismatch, DomainError
 from .grpdeg import DegreeMultiset, GroupElement, multiset_symmetry_witness
@@ -118,7 +118,7 @@ class GrGrassmannian:
 
         def mul(i, j):
             k, exps = normal_form_word(self, word_of(i) + word_of(j))
-            return Element(fld, {exps: fld.zeta_pow(k)})
+            return {exps: fld.zeta_pow(k)}
 
         names = tuple(f"x{i + 1}" for i in range(N_GENS))
         return exponent_algebra(

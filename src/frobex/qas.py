@@ -88,7 +88,7 @@ class QuantumAffineSpace:
                 if ai:
                     k += ai * sum(map(mul, row, b))
             # zeta is a unit, so its power is never 0 mod p
-            return Element.reduced(fld, {tuple(map(add, a, b)): powers[k % ell]})
+            return {tuple(map(add, a, b)): powers[k % ell]}
 
         weights = None
         if self.degree_dim == 1 and all(d.coords[0] > 0 for d in self.degrees):
@@ -148,12 +148,12 @@ class RestrictedBasisEngine:
             A = self.algebra
             r = tuple(e % self.ell for e in idx)
             s = tuple(e - e % self.ell for e in idx)
-            pidx, pc = A.mul_indices(s, r).single_term()
-            if pidx != idx:
+            prod = A.mul_indices(s, r)
+            if len(prod) != 1 or idx not in prod:
                 raise DomainError(
                     f"index {idx} does not split over the ell-centre in {A.name}"
                 )
-            split = self._splits[idx] = (r, s, A.field.inv(pc))
+            split = self._splits[idx] = (r, s, A.field.inv(prod[idx]))
         return split
 
     def exponents(self, idx) -> tuple:
@@ -228,8 +228,8 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
             if b:
                 low = c * qint(b) % fld.p
                 out[(a, b - 1)] = (out.get((a, b - 1), 0) + low) % fld.p
-        # [ell]_q = 0 and cancelling terms leave zeros; products wrap these
-        # entries as reduced elements, so they must hold none
+        # [ell]_q = 0 and cancelling terms leave zeros; products hand out
+        # these entries' coefficients as they are, so they must hold none
         return {idx: c for idx, c in out.items() if c}
 
     def expand(b, a) -> dict:
@@ -245,7 +245,7 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
         (a1, b1), (a2, b2) = i, j
         chain = expansions.get(b1)
         terms = chain[a2] if chain is not None and a2 < len(chain) else expand(b1, a2)
-        return Element.reduced(fld, {(a1 + a, b + b2): c for (a, b), c in terms.items()})
+        return {(a1 + a, b + b2): c for (a, b), c in terms.items()}
 
     def degree_of(idx) -> GroupElement:
         g = degrees.get(idx)

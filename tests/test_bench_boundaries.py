@@ -65,3 +65,28 @@ def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
     for job in jobs:
         job.prepare(env)
         assert job.check(job.run(env), env) is None, job.kind
+
+
+def test_traced_rees_window_job_reaches_the_oracle_spans(tmp_path, monkeypatch):
+    # the tracer finds product oracles by the mul_indices attribute and
+    # tells them apart by the qweyl( and rees( algebra name prefixes, which
+    # the untraced rounds above never read
+    monkeypatch.setattr(sys, "path", list(sys.path))  # frobex_env prepends src
+    env = workloads.frobex_env(BENCH.parent / "src")
+    env.out = str(tmp_path / "report.txt")
+    workload = workloads.WORKLOADS["rees-window"](seed=1)
+    workload.build(env)
+    job = workload.round(0)[-1]
+    assert job.argv[:3] == ["rees-demo", "--ell", "3"]
+    job.prepare(env)
+    recorder = tracer.Tracer()
+    recorder.install(workload.algebras())
+    try:
+        raw = recorder.job_span(job.run)(env)
+    finally:
+        recorder.uninstall()
+    assert job.check(raw, env) is None
+    layers = recorder.layer_metrics()
+    assert layers["calls"].get("qas.qweyl_mul", 0) > 0
+    assert layers["calls"].get("rees.mul", 0) > 0
+    assert layers["checked_pairs"] > 0

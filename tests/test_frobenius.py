@@ -201,7 +201,7 @@ def test_basis_product_decompositions_match_word_oracle():
         ext = ell_centre_extension(alg, ell)
         for b in ext.basis:
             for c in ext.basis:
-                dec = ext.engine.decompose(alg.mul_indices(b, c))
+                dec = ext.engine.decompose(Element(fld, alg.mul_indices(b, c)))
                 k, e = qas_product_oracle(C, ell, b, c)
                 r = tuple(x % ell for x in e)
                 s = tuple(x - x % ell for x in e)
@@ -576,9 +576,9 @@ def test_projection_agrees_with_decomposition(build):
 def test_projection_off_its_slot_is_the_form_zero():
     A = make_qas(2, 3, 7).algebra()
     form = ell_centre_extension(A, 3).form  # slot (2, 2)
-    assert form(A.mul_indices((1, 0), (0, 1))) is form.zero
+    assert form(Element(A.field, A.mul_indices((1, 0), (0, 1)))) is form.zero
     assert form(A.zero()) is form.zero
-    on_slot = form(A.mul_indices((2, 1), (3, 1)))
+    on_slot = form(Element(A.field, A.mul_indices((2, 1), (3, 1))))
     assert on_slot and on_slot is not form.zero
 
 
@@ -774,6 +774,43 @@ def test_det_exact_determinant_paths():
     assert (status.kind, status.method, status.detail) == (
         "singular", "exact-determinant", "determinant is non-constant (total degree 6)"
     )
+
+
+def test_poly_div_refuses_non_exact_divisions():
+    # 1 / (x + 1) used to run forever down the negative powers of x, and
+    # x / x^2 came back as x^-1
+    with pytest.raises(DomainError, match="not exact"):
+        frobenius._poly_div({(0,): 1}, {(1,): 1, (0,): 1}, 7)
+    with pytest.raises(DomainError, match="not exact"):
+        frobenius._poly_div({(1,): 1}, {(2,): 1}, 7)
+    # x*y / y^2 leaves y^-1, a leading exponent no quotient term reaches
+    with pytest.raises(DomainError, match="not exact"):
+        frobenius._poly_div({(1, 1): 1, (0, 0): 1}, {(0, 2): 1}, 7)
+
+
+def test_poly_div_undoes_products():
+    rng = random.Random(17)
+    p = 7
+
+    def times(a, b):
+        return frobenius._poly_cross(a, b, {}, {}, p)
+
+    def random_poly():
+        return {
+            (rng.randrange(4), rng.randrange(4)): rng.randrange(1, p)
+            for _ in range(rng.randrange(1, 6))
+        }
+
+    assert frobenius._poly_div({}, {(1, 0): 3}, p) == {}
+    for _ in range(60):
+        a, b = random_poly(), random_poly()
+        assert frobenius._poly_div(times(a, b), b, p) == a
+    # (1 + x + y)^8 / (1 + x + y)^3, 45 by 10 terms
+    h = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    powers = [{(0, 0): 1}]
+    for _ in range(8):
+        powers.append(times(powers[-1], h))
+    assert frobenius._poly_div(powers[8], powers[3], p) == powers[5]
 
 
 # slots of the q-Weyl ell-centre whose Gram determinants over S are the

@@ -83,9 +83,8 @@ def test_normal_forms_are_standard(G3):
 
 def test_normal_form_element_wrapper(G3):
     # the product wraps normal_form_word: x3 * x4 = zeta^t * x2 x5
-    el = G3.algebra().mul_indices((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
-    idx, c = el.single_term()
-    assert idx == (0, 1, 0, 0, 1, 0) and c == G3.field.zeta_pow(G3.t_exp)
+    prod = G3.algebra().mul_indices((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    assert prod == {(0, 1, 0, 0, 1, 0): G3.field.zeta_pow(G3.t_exp)}
 
 
 def test_budget_overrun_is_an_error(G3):

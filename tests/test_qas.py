@@ -59,16 +59,16 @@ def oracle_product(A, a, b):
 def test_monomial_product_unit():
     mul = make_qas(3, 3, 7).algebra().mul_indices
     a = (1, 2, 0)
-    assert mul(a, (0, 0, 0)).terms == {a: 1}
-    assert mul((0, 0, 0), a).terms == {a: 1}
+    assert mul(a, (0, 0, 0)) == {a: 1}
+    assert mul((0, 0, 0), a) == {a: 1}
 
 
 def test_monomial_product_interface_examples():
     # n=2, C[1][2] = 1: x1 x2 = q x2 x1
     A = make_qas(2, 3, 7)
     mul = A.algebra().mul_indices
-    assert mul((0, 1), (1, 0)).terms == {(1, 1): A.field.zeta_pow(-1)}
-    assert mul((1, 1), (1, 1)).terms == {(2, 2): A.field.zeta_pow(-1)}
+    assert mul((0, 1), (1, 0)) == {(1, 1): A.field.zeta_pow(-1)}
+    assert mul((1, 1), (1, 1)) == {(2, 2): A.field.zeta_pow(-1)}
 
 
 def test_normal_ordering_matches_word_oracle_exhaustively():
@@ -81,7 +81,7 @@ def test_normal_ordering_matches_word_oracle_exhaustively():
         exps = list(itertools.product(range(3), repeat=n))
         for a in exps:
             for b in exps:
-                assert mul(a, b) == oracle_product(A, a, b)
+                assert mul(a, b) == oracle_product(A, a, b).terms
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -96,7 +96,7 @@ def test_normal_ordering_matches_word_oracle_at_n4_and_n5(n, ell):
     for _ in range(40):
         a = tuple(rng.randrange(0, 2 * ell) for _ in range(n))
         b = tuple(rng.randrange(0, 2 * ell) for _ in range(n))
-        assert mul(a, b) == oracle_product(A, a, b)
+        assert mul(a, b) == oracle_product(A, a, b).terms
 
 
 def test_normal_ordering_matches_word_oracle_randomized():
@@ -107,7 +107,7 @@ def test_normal_ordering_matches_word_oracle_randomized():
     for _ in range(60):
         a = tuple(rng.randrange(0, 6) for _ in range(2))
         b = tuple(rng.randrange(0, 6) for _ in range(2))
-        assert mul(a, b) == oracle_product(A, a, b)
+        assert mul(a, b) == oracle_product(A, a, b).terms
 
 
 def test_restricted_decompose_monomial_slots():
@@ -146,45 +146,51 @@ def test_restricted_decompose_round_trip_random():
         assert reassemble(alg, decompose(y)) == y
 
 
-def test_decompose_split_failures_are_not_memoized():
-    A = make_qas(2, 3, 7).algebra()
+# what x1^3 * x^r returns when the split of (4, 1) breaks: a wrong index,
+# the zero product, and two terms of which one is right
+BROKEN_SPLIT_PRODUCTS = ({(0, 3): 1}, {}, {(4, 1): 1, (0, 3): 1})
+
+
+def split_breaking_engine(A, product):
+    """A's engine over an oracle that returns product for x1^3 * x^r until
+    the returned flag is cleared."""
     broken = [True]
 
     def mul(i, j):
         if broken[0] and i == (3, 0):
-            return A.monomial((0, 3))  # x1^3 * x^r lands on the wrong index
+            return dict(product)
         return A.mul_indices(i, j)
 
-    engine = RestrictedBasisEngine(replace(A, mul_indices=mul), 3)
+    return RestrictedBasisEngine(replace(A, mul_indices=mul), 3), broken
+
+
+def test_decompose_split_failures_are_not_memoized():
+    A = make_qas(2, 3, 7).algebra()
     y = A.monomial((4, 1))
-    for _ in range(2):
-        with pytest.raises(DomainError, match="does not split"):
-            engine.decompose(y)
-    broken[0] = False
-    assert reassemble(engine.algebra, engine.decompose(y)) == y
+    for product in BROKEN_SPLIT_PRODUCTS:
+        engine, broken = split_breaking_engine(A, product)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="does not split"):
+                engine.decompose(y)
+        broken[0] = False
+        assert reassemble(engine.algebra, engine.decompose(y)) == y
 
 
 def test_projection_split_failures_are_not_memoized():
     A = make_qas(2, 3, 7).algebra()
-    broken = [True]
-
-    def mul(i, j):
-        if broken[0] and i == (3, 0):
-            return A.monomial((0, 3))  # x1^3 * x^r lands on the wrong index
-        return A.mul_indices(i, j)
-
-    engine = RestrictedBasisEngine(replace(A, mul_indices=mul), 3)
     y = A.monomial((4, 1)) + A.monomial((1, 1))
-    # every term is split, also when it would land outside the form's slot
-    for form in (ProjectionForm(engine, (1, 1)), ProjectionForm(engine, (0, 0))):
-        for _ in range(2):
-            with pytest.raises(DomainError, match="does not split"):
-                form(y)
-    with pytest.raises(DomainError, match="does not split"):
-        engine.split((4, 1))
-    broken[0] = False
-    assert engine.split((4, 1)) == ((1, 1), (3, 0), 1)
-    assert ProjectionForm(engine, (1, 1))(y) == A.monomial((3, 0)) + A.one_element()
+    for product in BROKEN_SPLIT_PRODUCTS:
+        engine, broken = split_breaking_engine(A, product)
+        # every term is split, also when it would land outside the form's slot
+        for form in (ProjectionForm(engine, (1, 1)), ProjectionForm(engine, (0, 0))):
+            for _ in range(2):
+                with pytest.raises(DomainError, match="does not split"):
+                    form(y)
+        with pytest.raises(DomainError, match="does not split"):
+            engine.split((4, 1))
+        broken[0] = False
+        assert engine.split((4, 1)) == ((1, 1), (3, 0), 1)
+        assert ProjectionForm(engine, (1, 1))(y) == A.monomial((3, 0)) + A.one_element()
 
 
 def test_frobenius_form_examples():
@@ -293,7 +299,7 @@ def test_qweyl_cached_products_match_word_oracle(ell):
     pairs = [(i, j) for i in indices for j in indices if sum(i) + sum(j) <= window]
     want = {pair: qweyl_product_oracle(W.field, *pair) for pair in pairs}
     for pair in pairs + pairs[::-1]:
-        assert W.mul_indices(*pair) == want[pair], pair
+        assert W.mul_indices(*pair) == want[pair].terms, pair
     for idx in indices:
         assert W.degree_of(idx) == GroupElement((idx[0] + idx[1],))
         assert W.degree_of(idx) is W.degree_of(idx)
@@ -311,37 +317,64 @@ def test_enumerate_up_to_refuses_a_bound_of_another_rank():
         make_qas(2, 3).algebra().enumerate_up_to(GroupElement((2, 0)))
 
 
-def test_trusted_products_are_reduced():
-    # products wrapped without re-reduction hold values in [1, p) only and
-    # equal the element the checked constructor builds; x^3 * y meets
-    # [3]_q = 0 at ell = 3
+def oracle_tables():
+    """(algebra, indices) for the QAS, q-Weyl, gr(q-Weyl), Rees and
+    Grassmannian product oracles; the gr and Rees algebras share the q-Weyl
+    algebra's chain cache."""
     from frobex.algcore import gr_of
+    from frobex.grassmannian import GrGrassmannian
     from frobex.rees import enumerate_admissible, rees_of
 
-    def assert_reduced(el):
-        assert all(0 < c < el.field.p for c in el.terms.values()), el
-        assert el == Element(el.field, dict(el.terms))
-
     W = quantum_weyl(3, 7)
-    G = gr_of(W)
     indices = list(W.enumerate_up_to(GroupElement((4,))))
+    RA = rees_of(W, 6)
+    A = make_qas(3, 3, 7).algebra()
+    Gr = GrGrassmannian(RootField(7, 3)).algebra()
+    return [
+        (W, indices),
+        (gr_of(W), indices),
+        (RA.algebra, list(enumerate_admissible(RA, 3))),
+        (A, list(itertools.product(range(4), repeat=3))),
+        # every fifth of the 64 exponent tuples in {0, 1}^6
+        (Gr, list(itertools.product(range(2), repeat=6))[::5]),
+    ]
+
+
+def test_trusted_products_are_reduced():
+    # every oracle hands out a plain dict whose values lie in [1, p), which
+    # is what the Gram build wraps without re-reduction; x^3 * y meets
+    # [3]_q = 0 at ell = 3
+    tables = oracle_tables()
+    W, indices = tables[0]
     assert (0, 4) in indices
+    for alg, idx in tables:
+        p = alg.field.p
+        for i in idx:
+            for j in idx:
+                prod = alg.mul_indices(i, j)
+                assert type(prod) is dict, alg.name
+                assert all(0 < c < p for c in prod.values()), (alg.name, i, j)
+                if alg is W:
+                    assert prod == qweyl_product_oracle(W.field, i, j).terms
+
+
+def test_product_oracles_return_fresh_dicts():
+    # each call returns its own dict: the caller may change it, and neither
+    # a repeat call nor the q-Weyl chain cache behind gr and Rees sees that
+    tables = oracle_tables()
+    W, indices = tables[0]
+    for alg, idx in tables:
+        for i in idx:
+            for j in idx:
+                first, second = alg.mul_indices(i, j), alg.mul_indices(i, j)
+                assert first is not second and first == second
+                want = dict(first)
+                first.clear()
+                first["junk"] = 0
+                assert alg.mul_indices(i, j) == want, (alg.name, i, j)
     for i in indices:
         for j in indices:
-            prod = W.mul_indices(i, j)
-            assert_reduced(prod)
-            assert prod == qweyl_product_oracle(W.field, i, j)
-            assert_reduced(G.mul_indices(i, j))
-    RA = rees_of(W, 6)
-    adm = list(enumerate_admissible(RA, 3))
-    for u in adm:
-        for v in adm:
-            assert_reduced(RA.algebra.mul_indices(u, v))
-    A = make_qas(3, 3, 7).algebra()
-    exps = list(itertools.product(range(4), repeat=3))
-    for a in exps:
-        for b in exps:
-            assert_reduced(A.mul_indices(a, b))
+            assert W.mul_indices(i, j) == qweyl_product_oracle(W.field, i, j).terms
 
 
 def test_qweyl_caches_belong_to_one_algebra():
@@ -350,7 +383,7 @@ def test_qweyl_caches_belong_to_one_algebra():
     for W in algebras + algebras[::-1]:
         for a1, b1, a2, b2 in itertools.product(range(4), repeat=4):
             got = W.mul_indices((a1, b1), (a2, b2))
-            assert got == qweyl_product_oracle(W.field, (a1, b1), (a2, b2))
+            assert got == qweyl_product_oracle(W.field, (a1, b1), (a2, b2)).terms
 
 
 @pytest.mark.parametrize("ell,p", [(2, 5), (3, 7), (5, 11)])
@@ -420,4 +453,4 @@ def test_from_config_round_trip():
     assert A.cmatrix == ((0, 2), (-2, 0))
     assert A.degrees == cfg.degrees and A.names == ("u", "v")
     assert A.algebra().generator_names == ("u", "v")
-    assert A.algebra().mul_indices((0, 1), (1, 0)).terms == {(1, 1): A.field.zeta_pow(-2)}
+    assert A.algebra().mul_indices((0, 1), (1, 0)) == {(1, 1): A.field.zeta_pow(-2)}

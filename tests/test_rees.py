@@ -39,8 +39,8 @@ def test_window_must_be_in_cone(weyl3):
 def test_unit_law(rees3):
     RAlg = rees3.algebra
     b = ((1, 1), 3)
-    assert RAlg.mul_indices(RAlg.one, b) == RAlg.monomial(b)
-    assert RAlg.mul_indices(b, RAlg.one) == RAlg.monomial(b)
+    assert RAlg.mul_indices(RAlg.one, b) == {b: 1}
+    assert RAlg.mul_indices(b, RAlg.one) == {b: 1}
 
 
 def test_weyl_product_keeps_lower_term(rees3, weyl3):
@@ -48,7 +48,7 @@ def test_weyl_product_keeps_lower_term(rees3, weyl3):
     RAlg = rees3.algebra
     prod = RAlg.mul_indices(((0, 1), 1), ((1, 0), 1))
     q = weyl3.field.zeta
-    assert prod == Element(weyl3.field, {((1, 1), 2): q, ((0, 0), 2): 1})
+    assert prod == {((1, 1), 2): q, ((0, 0), 2): 1}
 
 
 def test_admissibility_closure(rees3):
@@ -61,7 +61,7 @@ def test_admissibility_closure(rees3):
         u = indices[rng.randrange(len(indices))]
         v = indices[rng.randrange(len(indices))]
         prod = RAlg.mul_indices(u, v)
-        for (b, g) in prod.terms:
+        for (b, g) in prod:
             assert base.degree_of(b) <= GroupElement((g,))
 
 
@@ -80,7 +80,7 @@ def test_cone_freeness_rejects_product_without_cone_shift(rees3):
         # keeps the left factor's cone position instead of adding both
         (b, g), (c, _h) = i, j
         prod = rees3.base.mul_indices(b, c)
-        return Element(rees3.field, {(t, g): v for t, v in prod.terms.items()})
+        return {(t, g): v for t, v in prod.items()}
 
     broken = replace(rees3, window=3, algebra=replace(rees3.algebra, mul_indices=mul))
     with pytest.raises(DomainError, match="does not factor through the cone"):
@@ -172,7 +172,9 @@ def broken_target(target, bad):
 
     def mul(b, c):
         prod = target.mul_indices(b, c)
-        return prod + target.one_element() if (b, c) == bad else prod
+        if (b, c) == bad:
+            prod = (Element(target.field, prod) + target.one_element()).terms
+        return prod
 
     return replace(target, mul_indices=mul)
 
@@ -185,7 +187,7 @@ def failing_pairs(RA, red, window):
         for u in adm
         for v in adm
         if u[1] + v[1] <= window
-        and image(red, RAlg.mul_indices(u, v))
+        and image(red, Element(RA.field, RAlg.mul_indices(u, v)))
         != multiply(red.target, image(red, RAlg.monomial(u)), image(red, RAlg.monomial(v)))
     ]
 
@@ -234,7 +236,7 @@ def test_products_make_no_group_elements(rees3, weyl3, monkeypatch):
     RAlg = rees3.algebra
     G.mul_indices((1, 1), (0, 2))
     u, v = ((2, 0), 3), ((1, 0), 2)
-    want = Element(weyl3.field, {((3, 0), 5): 1})
+    want = {((3, 0), 5): 1}
     made = []
     init = GroupElement.__init__
 
@@ -266,9 +268,9 @@ def test_m0_recovers_quantum_plane_table(rees3, weyl3):
             for c in range(3):
                 for d in range(3):
                     v = ((c, d), c + d)
-                    got = image(m0, RAlg.mul_indices(u, v))
+                    got = image(m0, Element(rees3.field, RAlg.mul_indices(u, v)))
                     want = G.mul_indices((a, b), (c, d))
-                    assert got == want
+                    assert got.terms == want
 
 
 def test_m1_recovers_weyl_table(rees3, weyl3):
@@ -280,9 +282,9 @@ def test_m1_recovers_weyl_table(rees3, weyl3):
             for c in range(3):
                 for d in range(3):
                     v = ((c, d), c + d)
-                    got = image(m1, RAlg.mul_indices(u, v))
+                    got = image(m1, Element(rees3.field, RAlg.mul_indices(u, v)))
                     want = weyl3.mul_indices((a, b), (c, d))
-                    assert got == want
+                    assert got.terms == want
 
 
 def test_rees_form_slot_example(weyl3, rees3):
