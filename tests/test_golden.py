@@ -22,6 +22,7 @@ CASES = {
     "qweyl-transfer_ell4": (["qweyl-transfer", "--ell", "4"], 0),
     "rees-demo_ell2_window5": (["rees-demo", "--ell", "2", "--window", "5"], 0),
     "rees-demo_ell3": (["rees-demo", "--ell", "3"], 0),
+    "rees-demo_ell4_window12": (["rees-demo", "--ell", "4", "--window", "12"], 0),
     "grassmannian-census_ell3": (["grassmannian-census", "--ell", "3"], 0),
     "qas-verify_malformed_cmatrix": (["qas-verify", "--cmatrix", "0 a; 1 0"], 2),
     "qas-verify_config": (

@@ -368,9 +368,8 @@ def test_rees_extension_verifies(weyl3):
     assert cert.verdict == "frobenius"
     assert cert.rank == base_cert.rank == ell**2
     assert cert.phi_degree == base_cert.phi_degree
-    # determinant is homogeneous of total degree zero, hence exact
     assert cert.gram_status.kind == "unit-determinant"
-    assert cert.gram_status.method == "evaluation-homogeneous"
+    assert cert.gram_status.method == "exact-determinant"
 
 
 def test_rees_decomposition_round_trip(weyl3, rees3):
