@@ -182,7 +182,7 @@ class Element:
 
         Only for a fresh dict that nothing else holds, whose values all lie
         in [1, p): it becomes the element's own terms.  Its one caller is
-        the Gram build, which wraps each product oracle's dict for the form.
+        the Gram build, which wraps each monomial x^t it hands to the form.
         """
         el = object.__new__(cls)
         _set_field(el, fld)

@@ -161,7 +161,11 @@ class ProjectionForm:
 
 
 class CentralFreeExtension:
-    """A based algebra R, free over a central subring S, with a form R -> S."""
+    """A based algebra R, free over a central subring S, with a form R -> S.
+
+    The form must be S-linear, as a Frobenius form is: the Gram build reads
+    its values on monomials only.
+    """
 
     def __init__(
         self,
@@ -187,11 +191,14 @@ class CentralFreeExtension:
     def gram(self) -> list[list[Element]]:
         """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
 
-        The build makes one product and one form evaluation per entry.
-        Every zero entry is one shared zero element, so a sparse M costs
-        about a pointer per entry.  M is assigned only once complete, so a
-        form that raises leaves no partial matrix.  The rows are cached
-        and must not be changed; ``gram_matrix`` hands out copies.
+        The build makes one product per entry and, Phi being linear, sums
+        c_t * Phi(x^t) over the product's terms c_t * x^t.  Phi is evaluated
+        once per distinct index t, so an entry whose terms all map to zero
+        costs its product and a table lookup.  Every zero entry is one
+        shared zero element, so a sparse M costs about a pointer per entry.
+        M is assigned only once complete, so a form that raises leaves no
+        partial matrix.  The rows are cached and must not be changed;
+        ``gram_matrix`` hands out copies.
         """
         form = self.form
         if form is None:
@@ -201,7 +208,20 @@ class CentralFreeExtension:
             zero = A.zero()
             basis = self.basis
             fld, mul = A.field, A.mul_indices
-            gram = [[form(Element.reduced(fld, mul(b, c))) or zero for c in basis] for b in basis]
+            images: dict = {}  # index t -> the terms of Phi(x^t)
+            gram = []
+            for b in basis:
+                row = []
+                for c in basis:
+                    acc: dict = {}
+                    for t, k in mul(b, c).items():
+                        image = images.get(t)
+                        if image is None:
+                            image = images[t] = form(Element.reduced(fld, {t: 1})).terms
+                        for s, v in image.items():
+                            acc[s] = acc.get(s, 0) + k * v
+                    row.append(Element(fld, acc) or zero if acc else zero)
+                gram.append(row)
             self._gram, self._gram_form = gram, form
         return self._gram
 
@@ -382,7 +402,9 @@ def _poly_det(rows: list[list[dict]], p: int) -> dict:
     swapped with a lower row, which flips the sign.  A zero entry whose
     row meets the pivot column in a zero, or whose column meets the pivot
     row in a zero, stays zero, (a_kk * 0 - 0 * x) / prev = 0, and is
-    skipped.
+    skipped.  When the pivot equals the previous one, a row that meets the
+    pivot column in a zero stays as it is, (a_kk * x - 0) / prev = x, and
+    is skipped whole.
     """
     A = [list(row) for row in rows]
     n = len(A)
@@ -394,7 +416,10 @@ def _poly_det(rows: list[list[dict]], p: int) -> dict:
                 return {}
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
+        same = A[k][k] == prev
         for i in range(k + 1, n):
+            if same and not A[i][k]:
+                continue
             for j in range(k + 1, n):
                 if not (A[i][j] or A[i][k] and A[k][j]):
                     continue
@@ -721,8 +746,9 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
             total += c
         return total % p
 
-    # the pairing is read from the Gram system, built here if need be
-    pairing = [[value(el) for el in row] for row in E.gram()]
+    # the pairing is read from the Gram system, built here if need be; a
+    # zero entry pairs to 0
+    pairing = [[value(el) if el.terms else 0 for el in row] for row in E.gram()]
     rank = fp_rank(pairing, p)
     return ReducedExtension(
         point=point,

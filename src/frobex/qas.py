@@ -74,21 +74,33 @@ class QuantumAffineSpace:
 
     def _build_algebra(self) -> BasedAlgebra:
         fld, ell = self.field, self.field.ell
-        rows = tuple(row[:i] for i, row in enumerate(self.cmatrix))
+        # column j below the diagonal, C[j+1..n-1][j], padded to length n
+        cols = tuple(
+            tuple(row[j] if i > j else 0 for i, row in enumerate(self.cmatrix))
+            for j in range(self.n - 1)
+        )
         powers = [fld.zeta_pow(k) for k in range(ell)]
+        rmod = ell.__rmod__
+        twists: dict = {}  # restricted left factor -> its twist vector
 
         def product(a, b):
             # Normal-ordering x^a * x^b moves each letter x_j of the right
             # factor leftward past the letters x_i (i > j) of the left
             # factor: a_i * b_j single swaps, each contributing C[i][j], so
-            # the zeta-exponent is the sum over i of a_i * (C[i][:i] . b).
-            # Tests validate this against a free-algebra rewriting oracle.
-            k = 0
-            for ai, row in zip(a, rows):
-                if ai:
-                    k += ai * sum(map(mul, row, b))
+            # the zeta-exponent is twist(a) . b with twist(a) the sum over
+            # i of a_i * C[i][:i].  Only its value mod ell matters, and that
+            # depends on a only mod ell, so the table holds the twists of
+            # restricted left factors, at most ell^n of them, and any other
+            # left factor reads the twist of its residue.  Tests validate
+            # this against a free-algebra rewriting oracle.
+            twist = twists.get(a)
+            if twist is None:
+                r = tuple(map(rmod, a))
+                twist = twists.get(r)
+                if twist is None:
+                    twist = twists[r] = tuple(sum(map(mul, r, col)) for col in cols)
             # zeta is a unit, so its power is never 0 mod p
-            return {tuple(map(add, a, b)): powers[k % ell]}
+            return {tuple(map(add, a, b)): powers[sum(map(mul, twist, b)) % ell]}
 
         weights = None
         if self.degree_dim == 1 and all(d.coords[0] > 0 for d in self.degrees):

@@ -5,7 +5,9 @@ adjacent rewrite steps until a normal form is reached; the Gr(2,4) counts
 come from Hilbert series.  None of it shares code with the package's
 closed-form normal-ordering rules or enumerations; that is the point.
 The Gram determinant oracle expands det over S permutation by permutation
-instead of reading the structure the package's determinant paths use.
+instead of reading the structure the package's determinant paths use, and
+the Gram matrix oracles project each product as a whole rather than its
+terms through a table of form values.
 """
 
 import itertools
@@ -145,6 +147,33 @@ def qweyl_word_oracle(fld: RootField, word) -> dict:
         return result
 
     return {k: v for k, v in normal_form(tuple(word)).items() if v}
+
+
+def qweyl_gram_oracle(fld: RootField, ell, weights):
+    """Gram matrix over S of the form sum over r of weights[r] * (slot r) on
+    the q-Weyl algebra over its ell-centre S = F_p[Y, X], Y = y^ell and
+    X = x^ell.
+
+    The basis is y^a x^b with a, b < ell in lexicographic order.  Entry
+    (u, v) is {s: coeff}, meaning coeff * Y^s[0] X^s[1]: the sum of
+    weights[r] * c over the terms c * y^a x^b of the word-rewritten product
+    u*v with (a, b) = r + ell * s.  x^ell and y^ell are central, so
+    y^(ell s0) x^(ell s1) * y^r0 x^r1 = y^(ell s0 + r0) x^(ell s1 + r1) and
+    every term lands on its slot r = (a, b) mod ell with scalar 1.
+    """
+    basis = list(itertools.product(range(ell), repeat=2))
+    rows = []
+    for a1, b1 in basis:
+        row = []
+        for a2, b2 in basis:
+            word = (0,) * a1 + (1,) * b1 + (0,) * a2 + (1,) * b2
+            entry: dict = {}
+            for (a, b), c in qweyl_word_oracle(fld, word).items():
+                s = (a // ell, b // ell)
+                entry[s] = (entry.get(s, 0) + weights.get((a % ell, b % ell), 0) * c) % fld.p
+            row.append({s: c for s, c in entry.items() if c})
+        rows.append(row)
+    return rows
 
 
 def qweyl_product_oracle(fld: RootField, i, j) -> Element:

@@ -90,3 +90,26 @@ def test_traced_rees_window_job_reaches_the_oracle_spans(tmp_path, monkeypatch):
     assert layers["calls"].get("qas.qweyl_mul", 0) > 0
     assert layers["calls"].get("rees.mul", 0) > 0
     assert layers["checked_pairs"] > 0
+
+
+def test_traced_qas_ladder_job_reaches_the_gram_span(monkeypatch):
+    # products_per_gram_entry divides a job's oracle products by the rank
+    # of its first gram_matrix span; a Gram build out of the tracer's view
+    # would read 0
+    monkeypatch.setattr(sys, "path", list(sys.path))  # frobex_env prepends src
+    env = workloads.frobex_env(BENCH.parent / "src")
+    workload = workloads.WORKLOADS["qas-ladder"](seed=1)
+    workload.build(env)
+    job = workload.round(0)[0]
+    rank = job.fixture.ell ** job.fixture.n
+    recorder = tracer.Tracer()
+    recorder.install(workload.algebras())
+    try:
+        raw = recorder.job_span(job.run)(env)
+    finally:
+        recorder.uninstall()
+    assert job.check(raw, env) is None
+    assert rank in recorder.gram_rank.values()
+    layers = recorder.layer_metrics()
+    assert layers["calls"].get("frobenius.gram_matrix", 0) >= 1
+    assert layers["products_per_gram_entry"] >= 1

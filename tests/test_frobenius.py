@@ -40,6 +40,7 @@ from oracles import (
     is_unit_oracle,
     qas_gram_oracle,
     qas_product_oracle,
+    qweyl_gram_oracle,
 )
 
 
@@ -521,7 +522,39 @@ def test_rank_169_gram_builds_one_element_per_nonzero_entry(monkeypatch):
     monkeypatch.setattr(Element, "__init__", counted)
     nonzero = sum(1 for row in ext.gram() for z in row if z)
     assert nonzero == 169
-    assert len(made) <= nonzero + 1
+    # one element per nonzero entry, the one nonzero image Phi(x^t) (at
+    # the top slot t) and the shared zero; the monomials x^t handed to the
+    # form are wrapped without a build
+    assert len(made) == nonzero + 2
+
+
+def test_rank_169_gram_build_evaluates_the_form_once_per_product_index():
+    # the form is S-linear, so M[b][c] = sum over the terms c_t x^t of b*c
+    # of c_t * Phi(x^t): rank^2 products, and one evaluation for each of
+    # the 25^2 indices b + c
+    A = make_qas(2, 13).algebra()
+    engine = RestrictedBasisEngine(A, 13)
+    products = []
+
+    def mul(i, j):
+        products.append((i, j))
+        return A.mul_indices(i, j)
+
+    top = ProjectionForm(engine, engine.top_slot())
+    evaluations = []
+
+    def form(y):
+        evaluations.append(y)
+        return top(y)
+
+    ext = CentralFreeExtension(replace(A, mul_indices=mul), engine, form)
+    M = ext.gram()
+    assert len(products) == 169**2 and len(set(products)) == 169**2
+    assert len(evaluations) == 25**2
+    assert {y.single_term() for y in evaluations} == {
+        ((a, b), 1) for a in range(25) for b in range(25)
+    }
+    assert M == ell_centre_extension(A, 13).gram()
 
 
 # ---------------------------------------------------------------------------
@@ -814,15 +847,18 @@ def test_poly_div_undoes_products():
 
 
 @pytest.mark.parametrize(
-    "ell, slot, most",
-    [(4, None, 168), (7, (2, 6), 2576)],
-    ids=["rees-ell4", "qweyl-ell7-slot26"],
+    "ell, slot, crosses",
+    [(4, None, 99), (5, None, 327), (7, (2, 6), 1724)],
+    ids=["rees-ell4", "rees-ell5", "qweyl-ell7-slot26"],
 )
-def test_elimination_skips_entries_that_stay_zero(monkeypatch, ell, slot, most):
+def test_elimination_skips_entries_that_stay_zero(monkeypatch, ell, slot, crosses):
     # an entry that is zero and meets the pivot's row or column in a zero
-    # stays zero; cross products only for the others: the Rees Gram matrix
-    # at ell 4 (rank 16) took 1,240 and the ell-7 slot (2, 6) (rank 49)
-    # took 38,024 before the skip
+    # stays zero, and so does a whole row that meets the pivot column in a
+    # zero when the pivot equals the previous one; cross products only for
+    # the others.  Without either skip the Rees Gram matrix at ell 4 (rank
+    # 16) took 1,240 and the ell-7 slot (2, 6) (rank 49) 38,024; with the
+    # entry skip alone these and the ell-5 Rees matrix (rank 25) took 168,
+    # 2,576 and 483
     E = ell_centre_extension(quantum_weyl(ell), ell)
     if slot is None:
         _, E = rees_extension(E)
@@ -840,7 +876,7 @@ def test_elimination_skips_entries_that_stay_zero(monkeypatch, ell, slot, most):
     status = det_is_unit(M, E)
     assert status.method == "exact-determinant"
     assert status.kind == ("unit-determinant" if slot is None else "singular")
-    assert calls["cross"] <= most
+    assert calls["cross"] == crosses
 
 
 # slots of the q-Weyl ell-centre whose Gram determinants over S are the
@@ -861,7 +897,7 @@ def test_qweyl_slot_with_non_unit_determinant_is_not_frobenius(ell, slot, degree
     assert cert.gram_status.method == "exact-determinant"
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
 def test_graded_and_filtered_verdicts_agree_on_every_slot(ell):
     # the main theorem on the q-Weyl ell-centre: the filtered extension
     # with a slot projection is Frobenius exactly when its associated
@@ -869,7 +905,8 @@ def test_graded_and_filtered_verdicts_agree_on_every_slot(ell):
     # Rees extension
     W = quantum_weyl(ell)
     p = W.field.p
-    graded = ell_centre_extension(quantum_plane_of_weyl(W).algebra(), ell)
+    plane = quantum_plane_of_weyl(W)
+    graded = ell_centre_extension(plane.algebra(), ell)
     filtered = ell_centre_extension(W, ell)
     frobenius_slots = []
     for slot in filtered.basis:
@@ -891,6 +928,10 @@ def test_graded_and_filtered_verdicts_agree_on_every_slot(ell):
             ]
             unit = is_unit_oracle(det_over_s_oracle(exact, p, 3), 3)
             assert unit == (r.gram_status.kind == "unit-determinant"), (slot, r)
+            # the graded verdict from the word-sorting Gram matrix
+            exact = qas_gram_oracle(plane.cmatrix, ell, W.field.zeta, p, {slot: 1})
+            unit = is_unit_oracle(det_over_s_oracle(exact, p, 2), 2)
+            assert unit == (g.gram_status.kind == "unit-determinant"), (slot, g)
         if f.verdict == "frobenius":
             frobenius_slots.append(slot)
     assert frobenius_slots == [filtered.engine.top_slot()]
@@ -930,6 +971,22 @@ class SlotSum:
         for proj, w in self.slots:
             total = total + w * proj(y)
         return total
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_qweyl_slot_gram_matrices_match_word_oracle(ell):
+    # q-Weyl products have several terms, so an entry sums the form's
+    # values on the terms of one product; under a sum of every slot, terms
+    # of one product land on one central monomial and add up
+    W = quantum_weyl(ell)
+    E = ell_centre_extension(W, ell)
+    assert max(len(W.mul_indices(b, c)) for b in E.basis for c in E.basis) == ell
+    every = {r: i + 1 for i, r in enumerate(E.basis)}
+    for weights in [{slot: 1} for slot in E.basis] + [every]:
+        M = gram_matrix(E.with_form(SlotSum(E, weights)))
+        got = [[{(a // ell, b // ell): v for (a, b), v in el.terms.items()} for el in row]
+               for row in M]
+        assert got == qweyl_gram_oracle(W.field, ell, weights), weights
 
 
 @settings(max_examples=150, deadline=None)

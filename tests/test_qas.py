@@ -110,6 +110,28 @@ def test_normal_ordering_matches_word_oracle_randomized():
         assert mul(a, b) == oracle_product(A, a, b).terms
 
 
+def test_twist_tables_belong_to_one_algebra():
+    # two presentations over one field whose commutation matrices differ
+    # mod ell, used interleaved: each product reads its own algebra's
+    # twists, for restricted left factors and for left factors with an
+    # exponent >= ell, met before and after their residues
+    ell = 3
+    algebras = [
+        make_qas(3, ell, 7, cmatrix=C)
+        for C in (standard_cmatrix(3), ((0, 2, -1), (-2, 0, 1), (1, -1, 0)))
+    ]
+    rng = random.Random(13)
+    pairs = [((4, 5, 3), (1, 2, 2)), ((1, 2, 0), (2, 2, 1)), ((1, 2, 0), (0, 4, 5))] + [
+        tuple(tuple(rng.randrange(2 * ell) for _ in range(3)) for _ in range(2))
+        for _ in range(120)
+    ]
+    for a, b in pairs:
+        for A in algebras + algebras[::-1]:
+            assert A.algebra().mul_indices(a, b) == oracle_product(A, a, b).terms
+    first, second = (A.algebra().mul_indices for A in algebras)
+    assert any(first(a, b) != second(a, b) for a, b in pairs)
+
+
 def test_restricted_decompose_monomial_slots():
     ell = 3
     A = make_qas(2, ell, 7)
