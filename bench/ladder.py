@@ -1,0 +1,186 @@
+"""Time the size ladder of ROADMAP's Baseline table and write BENCH_<NNN>.json.
+
+Usage: python bench/ladder.py [OUT]
+
+Each case runs in this interpreter and records its best wall time over k
+runs (``perf_counter``); state a run would reuse, such as a built Gram
+system, is made afresh before each run and outside the clock.  The file
+records the git sha of the sources measured (with a ``dirty`` flag for
+uncommitted changes under them), the Python version and the machine.
+Without OUT it is the next free BENCH_<NNN>.json at the repository root.
+
+frobex is imported as found on the path, so ``PYTHONPATH=<checkout>/src``
+measures another checkout; otherwise this repository's ``src`` is used.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+if importlib.util.find_spec("frobex") is None:
+    sys.path.insert(0, str(ROOT / "src"))
+
+import frobex  # noqa: E402
+from frobex import cli  # noqa: E402
+from frobex.frobenius import (  # noqa: E402
+    ProjectionForm,
+    det_is_unit,
+    ell_centre_extension,
+    gram_matrix,
+    nakayama_on_generators,
+    verify_frobenius,
+)
+from frobex.grassmannian import degree_census  # noqa: E402
+from frobex.qas import make_qas, quantum_weyl  # noqa: E402
+
+
+class Case(NamedTuple):
+    name: str
+    runs: int
+    prepare: Callable[[], Callable[[], object]]  # fresh state -> the timed call
+
+
+def command(*argv: str) -> Callable[[], Callable[[], object]]:
+    """A CLI run that must exit 0, writing its report to a scratch file."""
+
+    def prepare():
+        def run():
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--out", os.path.join(tmp, "report.txt")])
+            if code != 0:
+                raise RuntimeError(f"frobex {' '.join(argv)} exited {code}")
+
+        return run
+
+    return prepare
+
+
+def verify(n: int, ell: int):
+    def prepare():
+        ext = ell_centre_extension(make_qas(n, ell).algebra(), ell)
+        return lambda: verify_frobenius(ext)
+
+    return prepare
+
+
+def nakayama(n: int, ell: int):
+    def prepare():
+        ext = ell_centre_extension(make_qas(n, ell).algebra(), ell)
+        cert = verify_frobenius(ext)
+        return lambda: nakayama_on_generators(ext, cert, rng=random.Random(0))
+
+    return prepare
+
+
+def qweyl_slot_determinants(ell: int):
+    """det_is_unit on the Gram matrix of every slot of the q-Weyl
+    ell-centre; the matrices are built before the clock starts."""
+
+    def prepare():
+        E = ell_centre_extension(quantum_weyl(ell), ell)
+        slots = [E.with_form(ProjectionForm(E.engine, r)) for r in E.basis]
+        grams = [(gram_matrix(ext), ext) for ext in slots]
+        return lambda: [det_is_unit(M, ext) for M, ext in grams]
+
+    return prepare
+
+
+def census():
+    return lambda: [degree_census(ell) for ell in range(2, 21)]
+
+
+CASES = (
+    Case("cli qas-verify --n 3 --ell 5", 3, command("qas-verify", "--n", "3", "--ell", "5")),
+    *(Case(f"verify_frobenius rank {ell**n}", 3, verify(n, ell))
+      for n, ell in ((2, 13), (3, 7), (4, 5), (2, 31))),
+    *(Case(f"nakayama_on_generators rank {ell**n}", 3, nakayama(n, ell))
+      for n, ell in ((4, 3), (3, 5), (2, 13))),
+    Case("cli qweyl-transfer --ell 5", 3, command("qweyl-transfer", "--ell", "5")),
+    Case("cli rees-demo --ell 4 --window 12", 3,
+         command("rees-demo", "--ell", "4", "--window", "12")),
+    Case("cli rees-demo --ell 5", 1, command("rees-demo", "--ell", "5")),
+    Case("cli rees-demo --ell 7", 1, command("rees-demo", "--ell", "7")),
+    *(Case(f"det_is_unit every q-Weyl slot ell {ell}", 3, qweyl_slot_determinants(ell))
+      for ell in (5, 6, 7)),
+    Case("degree_census ell 2..20", 5, census),
+)
+
+
+def measure(case: Case) -> dict:
+    times = []
+    for _ in range(case.runs):
+        run = case.prepare()
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return {"name": case.name, "runs": len(times), "best_s": min(times), "times_s": times}
+
+
+def source_revision() -> tuple[str, bool]:
+    """(sha, dirty) of the checkout frobex was imported from."""
+    src = Path(frobex.__file__).resolve().parent
+    git = ["git", "-C", str(src)]
+    try:
+        sha = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
+                             check=True).stdout.strip()
+        changes = subprocess.run([*git, "status", "--porcelain", "--", "."],
+                                 capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown", True
+    return sha, bool(changes.strip())
+
+
+def write(path: Path, cases=CASES) -> dict:
+    """Measure the cases and write the BENCH document to path."""
+    sha, dirty = source_revision()
+    doc = {
+        "sha": sha,
+        "dirty": dirty,
+        "python": platform.python_version(),
+        "machine": {
+            "system": platform.system(),
+            "machine": platform.machine(),
+            "processor": platform.processor(),
+            "cpus": os.cpu_count(),
+        },
+        "cases": [measure(case) for case in cases],
+    }
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return doc
+
+
+def next_path() -> Path:
+    k = 1
+    while (ROOT / f"BENCH_{k:03d}.json").exists():
+        k += 1
+    return ROOT / f"BENCH_{k:03d}.json"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    path = Path(argv[0]) if argv else next_path()
+    doc = write(path)
+    for case in doc["cases"]:
+        print(f"{case['best_s']:10.4f} s  {case['name']}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -28,13 +28,17 @@ nonzero constants.
 
 The Gram matrix is built once per extension and form and shared by the
 determinant test, the Nakayama solve and reduction at points; see
-``CentralFreeExtension.gram``.
+``CentralFreeExtension.gram``.  A slot projection on an engine that has
+proved the exponent grading builds one entry per row, the rest being zero
+by that proof; any other form builds all rank^2 entries.  The determinant
+test's structure scan rides on its status, and the Nakayama solve reads it
+from there.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algcore import BasedAlgebra, Element, filtered_degree, gr_of, multiply
@@ -191,7 +195,14 @@ class CentralFreeExtension:
     def gram(self) -> list[list[Element]]:
         """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
 
-        The build makes one product per entry and, Phi being linear, sums
+        Each row computes the entries of its column set and leaves the rest
+        the shared zero.  The column set is the whole basis, except for a
+        slot projection on the extension's own engine when that engine has
+        proved the grading of this ambient's product
+        (``RestrictedBasisEngine.graded``): there b * c lands on slot
+        b + c mod ell, so the one column that can be nonzero is the
+        engine's partner of b, and a row costs one product.
+        Each computed entry makes one product and, Phi being linear, sums
         c_t * Phi(x^t) over the product's terms c_t * x^t.  Phi is evaluated
         once per distinct index t, so an entry whose terms all map to zero
         costs its product and a table lookup.  Every zero entry is one
@@ -208,19 +219,26 @@ class CentralFreeExtension:
             zero = A.zero()
             basis = self.basis
             fld, mul = A.field, A.mul_indices
+            columns = [range(len(basis))] * len(basis)
+            engine = self.engine
+            if isinstance(form, ProjectionForm) and form.engine is engine and engine.algebra is A:
+                partners = engine.partners(form.slot)
+                if partners is not None:
+                    columns = [(j,) for j in partners]
             images: dict = {}  # index t -> the terms of Phi(x^t)
             gram = []
-            for b in basis:
-                row = []
-                for c in basis:
+            for b, cols in zip(basis, columns):
+                row = [zero] * len(basis)
+                for j in cols:
                     acc: dict = {}
-                    for t, k in mul(b, c).items():
+                    for t, k in mul(b, basis[j]).items():
                         image = images.get(t)
                         if image is None:
                             image = images[t] = form(Element.reduced(fld, {t: 1})).terms
                         for s, v in image.items():
                             acc[s] = acc.get(s, 0) + k * v
-                    row.append(Element(fld, acc) or zero if acc else zero)
+                    if acc:
+                        row[j] = Element(fld, acc) or zero
                 gram.append(row)
             self._gram, self._gram_form = gram, form
         return self._gram
@@ -281,6 +299,9 @@ class GramStatus:
     detail: str = ""
     # (position, side) of the first basis element without a two-sided witness
     zero_line: Optional[tuple] = None
+    # the structure scan the verdict was read from; the Nakayama solve
+    # reads it rather than scanning M again
+    structure: Optional[GramStructure] = field(default=None, compare=False, repr=False)
 
     def __str__(self):
         return self.kind
@@ -436,11 +457,16 @@ def det_is_unit(M: list[list[Element]], E: CentralFreeExtension) -> GramStatus:
     so 'singular' below means 'not invertible over S': the determinant is
     zero or a non-constant.  See the module docstring for the strategy.
     A zero row or column is reported in ``zero_line`` as well as in the
-    detail.
+    detail.  The status carries the structure scan it was read from.
     """
-    p = E.ambient.field.p
     structure = _gram_structure(M, E)
+    status = _status_of(M, E, structure)
+    status.structure = structure
+    return status
 
+
+def _status_of(M, E: CentralFreeExtension, structure: GramStructure) -> GramStatus:
+    p = E.ambient.field.p
     if structure.zero_line is not None:
         i, side = structure.zero_line
         line = "row" if side == "right" else "column"
@@ -593,7 +619,9 @@ def nakayama_on_generators(
     the basis reads  sum_b s_b * M[b][c] = Phi(c * g)  for every c, a
     finite linear system over S.  It is solved directly when the Gram
     matrix is a generalized permutation with unit pivots, and through the
-    F_p inverse when the Gram matrix is scalar.  The solution is then
+    F_p inverse when the Gram matrix is scalar; both are read off the
+    structure scan that the certificate's determinant test made.  The
+    whole-basis identity check below guards the solution.  It is then
     revalidated on NAKAYAMA_CHECKS random pairs, extending nu
     multiplicatively through one table of generator powers nu(x_k)^e built
     for this solve.
@@ -606,7 +634,8 @@ def nakayama_on_generators(
     A = E.ambient
     basis = E.basis
     n = len(basis)
-    structure = _gram_structure(E.gram(), E)
+    # the determinant test's scan of this Gram system, read, not redone
+    structure = certificate.gram_status.structure
     scalars = structure.scalars
     if scalars is None:
         raise UnsupportedStructure(

@@ -123,6 +123,14 @@ class RestrictedBasisEngine:
     up to the oracle's scalar.  Each monomial index e splits as e = r + ell*s
     with r componentwise in [0, ell); slot r receives the central monomial
     x^(ell*s) scaled so that reassembly is exact.
+
+    ``graded`` records whether the product is graded by exponents, so that
+    x^b * x^c is supported on {b + c}.  Ordered monomials are a basis of
+    these algebras (Bergman's diamond lemma, Adv. Math. 29, 1978) and x^a
+    is the ordered product of generator powers, so the grading holds
+    exactly when every generator-pair product x_i * x_j is supported on
+    {e_i + e_j}: any word then sorts into normal order one homogeneous
+    swap at a time.  The n^2 pairs are checked once, here.
     """
 
     def __init__(self, algebra: BasedAlgebra, ell: int):
@@ -134,6 +142,12 @@ class RestrictedBasisEngine:
         self.subring_generators = tuple(
             tuple(ell if j == i else 0 for j in range(self.width))
             for i in range(self.width)
+        )
+        gens = algebra.generator_indices
+        self.graded = all(
+            algebra.mul_indices(g, h).keys() <= {tuple(map(add, g, h))}
+            for g in gens
+            for h in gens
         )
         # index -> (r, s, 1/c) from split; only indices that split are kept
         self._splits: dict = {}
@@ -171,6 +185,19 @@ class RestrictedBasisEngine:
     def exponents(self, idx) -> tuple:
         """The central monomial x^idx as a monomial in the x_i^ell."""
         return tuple(e // self.ell for e in idx)
+
+    def partners(self, slot) -> Optional[list]:
+        """For each basis element b, in basis order, the position of the
+        one basis element c = (slot - b) mod ell with b * c able to reach
+        the slot; None unless the grading is proved and the slot is a
+        basis element."""
+        if not self.graded:
+            return None
+        position = {b: i for i, b in enumerate(self.basis)}
+        if slot not in position:
+            return None
+        ell = self.ell
+        return [position[tuple((r - e) % ell for r, e in zip(slot, b))] for b in self.basis]
 
     def random_index(self, rng) -> tuple:
         return tuple(rng.randrange(0, 2 * self.ell) for _ in range(self.width))

@@ -246,6 +246,10 @@ class ReesEngine:
         sidx, g = idx
         return self.base_engine.exponents(sidx) + (g - _degree(self.rees.base, sidx),)
 
+    def partners(self, slot) -> None:
+        """No grading is proved on Rees algebras: every Gram build is full."""
+        return None
+
     def random_index(self, rng) -> tuple:
         b = self.base_engine.random_index(rng)
         return (b, _degree(self.rees.base, b) + rng.randrange(0, 2))

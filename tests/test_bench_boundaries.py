@@ -93,9 +93,10 @@ def test_traced_rees_window_job_reaches_the_oracle_spans(tmp_path, monkeypatch):
 
 
 def test_traced_qas_ladder_job_reaches_the_gram_span(monkeypatch):
-    # products_per_gram_entry divides a job's oracle products by the rank
-    # of its first gram_matrix span; a Gram build out of the tracer's view
-    # would read 0
+    # products_per_gram_entry divides a job's oracle products by the square
+    # of the rank of its first gram_matrix span; a Gram build out of the
+    # tracer's view would read 0.  A graded QAS build makes one product per
+    # row, so the ratio sits below 1 by design.
     monkeypatch.setattr(sys, "path", list(sys.path))  # frobex_env prepends src
     env = workloads.frobex_env(BENCH.parent / "src")
     workload = workloads.WORKLOADS["qas-ladder"](seed=1)
@@ -112,4 +113,4 @@ def test_traced_qas_ladder_job_reaches_the_gram_span(monkeypatch):
     assert rank in recorder.gram_rank.values()
     layers = recorder.layer_metrics()
     assert layers["calls"].get("frobenius.gram_matrix", 0) >= 1
-    assert layers["products_per_gram_entry"] >= 1
+    assert layers["products_per_gram_entry"] > 0

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from operator import add
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -34,7 +35,7 @@ from frobex.frobenius import (
 )
 from frobex.grpdeg import DegreeMultiset, GroupElement
 from frobex.qas import RestrictedBasisEngine, make_qas, quantum_plane_of_weyl, quantum_weyl
-from frobex.rees import rees_extension
+from frobex.rees import ReesEngine, rees_extension
 from oracles import (
     det_over_s_oracle,
     is_unit_oracle,
@@ -117,15 +118,18 @@ def test_gram_system_built_once():
     cert = verify_frobenius(ext)
     M = gram_matrix(ext)
     assert cert.verdict == "frobenius"
-    # rank^2 Gram products, plus one split x^s * x^r per distinct index
-    # b + c met by the decomposition (s = 0 for restricted indices)
-    gram_pairs = Counter((b, c) for b in basis for c in basis)
-    sums = {tuple(x + y for x, y in zip(b, c)) for b in basis for c in basis}
+    # n^2 generator-pair products prove the grading; then one Gram product
+    # per row, b * c with c = top - b, and one split x^s * x^r per distinct
+    # index met (s = 0 for restricted indices): the basis, through the
+    # form's degree, and the sums b + c, which are all the top index
+    gens = ext.ambient.generator_indices
+    proof_pairs = Counter(itertools.product(gens, repeat=2))
+    gram_pairs = Counter((b, tuple(ell - 1 - e for e in b)) for b in basis)
     split_pairs = Counter(
-        (tuple(e - e % ell for e in idx), tuple(e % ell for e in idx)) for idx in sums
+        (tuple(e - e % ell for e in idx), tuple(e % ell for e in idx)) for idx in basis
     )
-    assert len(calls) == len(basis) ** 2 + (2 * ell - 1) ** n
-    assert Counter(calls) == gram_pairs + split_pairs
+    assert len(calls) == n**2 + len(basis) + len(basis)
+    assert Counter(calls) == proof_pairs + gram_pairs + split_pairs
     # repeat consumers read the same system
     del calls[:]
     assert verify_frobenius(ext).gram_status == cert.gram_status
@@ -147,8 +151,14 @@ def test_new_form_gets_a_fresh_gram_system():
     M_low = gram_matrix(low)
     assert M_low != top
     assert M_low[0][0] == ext.ambient.one_element()
-    # the splits are memoized on the shared engine; the products are not
-    assert len(calls) == len(ext.basis) ** 2
+    # one product per row, b * c with c = -b mod ell; the splits are
+    # memoized on the shared engine, and only the sums b + c, whose
+    # entries are 0 or ell, are new to it
+    partners = [tuple(-e % ell for e in b) for b in ext.basis]
+    sums = {tuple(map(add, b, c)) for b, c in zip(ext.basis, partners)}
+    assert len(sums) == 2**n
+    split_pairs = Counter((idx, (0,) * n) for idx in sums)
+    assert Counter(calls) == Counter(zip(ext.basis, partners)) + split_pairs
     ext.form = low_form
     assert gram_matrix(ext) == M_low
     ext.form = ProjectionForm(ext.engine, (ell - 1,) * n)
@@ -179,13 +189,17 @@ def test_reduce_at_point_makes_one_product_per_entry():
     for first, second in ((reduce, verify_frobenius), (verify_frobenius, reduce)):
         ext, calls = counted_extension(n, ell, 7)
         rank = len(ext.basis)
+        # n^2 proof products, one Gram product per row, and one split per
+        # distinct index: the top index b + c, then the rest of the basis
+        # when the form's degree is measured
+        splits = 1 if first is reduce else rank
         first(ext)
-        # rank^2 products plus one split per distinct index, in either order
-        assert len(calls) == rank**2 + (2 * ell - 1) ** n
-        del calls[:]
+        assert len(calls) == n**2 + rank + splits
         second(ext)
-        assert calls == []
+        assert len(calls) == n**2 + rank + rank
+        del calls[:]
         assert reduce(ext).nondegenerate
+        assert verify_frobenius(ext).verdict == "frobenius"
         assert calls == []
 
 
@@ -555,6 +569,155 @@ def test_rank_169_gram_build_evaluates_the_form_once_per_product_index():
         ((a, b), 1) for a in range(25) for b in range(25)
     }
     assert M == ell_centre_extension(A, 13).gram()
+
+
+def test_rank_169_graded_gram_build_makes_one_product_per_row(monkeypatch):
+    # the engine proves the exponent grading on the 4 generator pairs, so
+    # the top-slot projection on its own engine builds b * (top - b) only:
+    # 169 products, one split and one form evaluation, all at index top
+    A, products = counted(make_qas(2, 13).algebra())
+    engine = RestrictedBasisEngine(A, 13)
+    assert engine.graded
+    assert products == list(itertools.product(A.generator_indices, repeat=2))
+    del products[:]
+    top = engine.top_slot()
+    evaluations = []
+    project = ProjectionForm.__call__
+
+    def form(self, y):
+        evaluations.append(y)
+        return project(self, y)
+
+    monkeypatch.setattr(ProjectionForm, "__call__", form)
+    M = CentralFreeExtension(A, engine, ProjectionForm(engine, top)).gram()
+    gram_products = [(b, tuple(12 - e for e in b)) for b in engine.basis]
+    # the first entry's one term splits through x^0 * x^top
+    assert products == gram_products[:1] + [((0, 0), top)] + gram_products[1:]
+    assert [y.single_term() for y in evaluations] == [(top, 1)]
+    monkeypatch.undo()
+    plain = ProjectionForm(engine, top)
+    assert M == CentralFreeExtension(A, engine, lambda y: plain(y)).gram()
+
+
+def _qas_slot_case():
+    A, calls = counted(make_qas(2, 3, 7).algebra())
+    engine = RestrictedBasisEngine(A, 3)
+    return A, calls, engine, lambda: ProjectionForm(engine, engine.top_slot())
+
+
+def _qweyl_slot_case():
+    # x * y = q y x + 1 is off the exponent grading: no proof, full build
+    W, calls = counted(quantum_weyl(3))
+    engine = RestrictedBasisEngine(W, 3)
+    return W, calls, engine, lambda: ProjectionForm(engine, engine.top_slot())
+
+
+def _rees_slot_case():
+    W = quantum_weyl(3)
+    _, rext = rees_extension(ell_centre_extension(W, 3))
+    algebra, calls = counted(rext.ambient)
+    engine = ReesEngine(replace(rext.engine.rees, algebra=algebra), rext.engine.base_engine)
+    return algebra, calls, engine, lambda: ProjectionForm(engine, rext.form.slot)
+
+
+def _plain_callable_case():
+    A, calls, engine, make_form = _qas_slot_case()
+    return A, calls, engine, lambda: (lambda y, form=make_form(): form(y))
+
+
+@pytest.mark.parametrize(
+    "build, graded",
+    [(_qas_slot_case, True), (_qweyl_slot_case, False), (_rees_slot_case, False),
+     (_plain_callable_case, False)],
+    ids=["qas", "qweyl", "rees", "plain-callable"],
+)
+def test_gram_build_is_graded_only_on_a_proved_grading(build, graded):
+    # a second build, for a new form object, finds every split memoized, so
+    # its products are exactly its Gram products: one per row on a proved
+    # exponent grading, rank^2 otherwise
+    ambient, calls, engine, make_form = build()
+    ext = CentralFreeExtension(ambient, engine, make_form())
+    first = ext.gram()
+    ext = ext.with_form(make_form())
+    del calls[:]
+    assert ext.gram() == first
+    basis = engine.basis
+    if graded:
+        top = engine.top_slot()
+        want = [(b, tuple(t - e for t, e in zip(top, b))) for b in basis]
+    else:
+        want = list(itertools.product(basis, repeat=2))
+    assert calls == want
+
+
+def test_off_grade_generator_pair_keeps_the_full_gram_build():
+    # one generator pair gains an off-grade term on the top slot, x2 * x1 =
+    # zeta^-1 x1 x2 + x^top, so M[x2][x1] is nonzero though x1 is not the
+    # partner top - x2 of x2; the proof fails and the build is the full one
+    base = make_qas(2, 3, 7).algebra()
+    top = (2, 2)
+
+    def mul(i, j):
+        prod = base.mul_indices(i, j)
+        return {**prod, top: 1} if (i, j) == ((0, 1), (1, 0)) else prod
+
+    A, calls = counted(replace(base, mul_indices=mul))
+    engine = RestrictedBasisEngine(A, 3)
+    assert not engine.graded and engine.partners(top) is None
+    # a grading proved on another algebra's product does not carry over
+    proved = RestrictedBasisEngine(base, 3)
+    assert proved.graded
+    basis = engine.basis
+    for eng in (engine, proved):
+        ext = CentralFreeExtension(A, eng, ProjectionForm(eng, top))
+        del calls[:]
+        M = ext.gram()
+        assert set(itertools.product(basis, repeat=2)) <= set(calls)
+        assert M == [[ext.form(Element(A.field, mul(b, c))) for c in basis] for b in basis]
+        assert not M[basis.index((0, 1))][basis.index((1, 0))].is_zero()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    # every slot of ranks up to 27 keeps the word oracle's slots * rank^2
+    # products to a fraction of a second per example
+    shape=st.sampled_from([(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5),
+                           (3, 2), (3, 3)]),
+    seed=st.integers(0, 99),
+    data=st.data(),
+)
+def test_graded_gram_matches_word_oracle_on_every_slot(shape, seed, data):
+    n, ell = shape
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            C[i][j] = data.draw(st.integers(0, ell - 1))  # 0: x_i, x_j commute
+            C[j][i] = -C[i][j]
+    A = make_qas(n, ell, cmatrix=C, seed=seed)
+    ext = ell_centre_extension(A.algebra(), ell)
+    assert ext.engine.graded
+    for slot in ext.basis:
+        M = ext.with_form(ProjectionForm(ext.engine, slot)).gram()
+        got = [[{tuple(e // ell for e in s): v for s, v in el.terms.items()} for el in row]
+               for row in M]
+        assert got == qas_gram_oracle(C, ell, A.field.zeta, A.field.p, {slot: 1}), slot
+
+
+def test_nakayama_reads_the_determinant_tests_structure_scan(monkeypatch):
+    scans = []
+    scan = frobenius._gram_structure
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(frobenius, "_gram_structure", counting)
+    ext = ell_centre_extension(make_qas(2, 5).algebra(), 5)
+    cert = verify_frobenius(ext)
+    nak = nakayama_on_generators(ext, cert)
+    assert len(scans) == 1 and nak.checked_pairs == 200
+    assert cert.gram_status.structure.pivot_row is not None
+    assert "structure" not in repr(cert.gram_status)
 
 
 # ---------------------------------------------------------------------------
