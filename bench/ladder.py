@@ -42,6 +42,7 @@ from frobex.frobenius import (  # noqa: E402
     ell_centre_extension,
     gram_matrix,
     nakayama_on_generators,
+    reduce_at_point,
     verify_frobenius,
 )
 from frobex.grassmannian import degree_census  # noqa: E402
@@ -86,6 +87,18 @@ def nakayama(n: int, ell: int):
     return prepare
 
 
+def reduce(ell: int):
+    """reduce_at_point at (3, 5) on make_qas(2, ell), whose Gram system is
+    built before the clock starts."""
+
+    def prepare():
+        ext = ell_centre_extension(make_qas(2, ell).algebra(), ell)
+        ext.gram()
+        return lambda: reduce_at_point(ext, (3, 5))
+
+    return prepare
+
+
 def qweyl_slot_determinants(ell: int):
     """det_is_unit on the Gram matrix of every slot of the q-Weyl
     ell-centre; the matrices are built before the clock starts."""
@@ -109,6 +122,7 @@ CASES = (
       for n, ell in ((2, 13), (3, 7), (4, 5), (2, 31))),
     *(Case(f"nakayama_on_generators rank {ell**n}", 3, nakayama(n, ell))
       for n, ell in ((4, 3), (3, 5), (2, 13))),
+    *(Case(f"reduce_at_point rank {ell**2}", 3, reduce(ell)) for ell in (13, 31)),
     Case("cli qweyl-transfer --ell 5", 3, command("qweyl-transfer", "--ell", "5")),
     Case("cli rees-demo --ell 4 --window 12", 3,
          command("rees-demo", "--ell", "4", "--window", "12")),

@@ -20,11 +20,16 @@ Refutations are certified through the degree-multiset symmetry obstruction:
 the multiset of basis degrees of a graded Frobenius extension must satisfy
 mult(e) == mult(d - e) for the unique candidate shift d.
 
-Determinant strategy over S, in order: generalized-permutation structure
-(product of pivots), all-scalar matrices (dense determinant mod p), and
-otherwise the determinant over S itself by fraction-free elimination.
-Every path is exact: S is a polynomial ring over F_p, whose units are the
-nonzero constants.
+Determinant strategy over S: one union-find pass splits M's nonzero
+pattern into connected blocks.  Every form here is homogeneous for a
+grading the product respects, so M is block diagonal up to a row and a
+column permutation, and det M is +-1 times the product of the block
+determinants (Dulmage and Mendelsohn, Canad. J. Math. 10, 1958; Pothen and
+Fan, ACM TOMS 16, 1990).  A block that is not square makes det M zero;
+every square block goes to one fraction-free elimination.  S is a
+polynomial ring over F_p, a domain whose units are the nonzero constants,
+so M is a unit exactly when no block determinant is 0 and their total
+degrees add up to 0.
 
 The Gram matrix is built once per extension and form and shared by the
 determinant test, the Nakayama solve and reduction at points; see
@@ -327,60 +332,63 @@ def gram_matrix(E: CentralFreeExtension) -> list[list[Element]]:
     return [list(row) for row in E.gram()]
 
 
-def _unit_scalar(E: CentralFreeExtension, el: Element) -> Optional[int]:
-    """The scalar c when el = c * 1 with c != 0, else None."""
-    if len(el.terms) != 1:
-        return None
-    idx, c = el.single_term()
-    return c if idx == E.ambient.one else None
+def _blocks(support: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Connected components (rows, cols) of a square matrix's nonzero pattern.
+
+    ``support[i]`` lists the columns of the nonzero entries of row i.  Row i
+    and column j are joined when M[i][j] != 0, so a zero row is a 1x0
+    component and a zero column a 0x1 one.  Rows and columns come sorted,
+    and the components in the order of their first row, column-only ones
+    last.
+    """
+    n = len(support)
+    parent = list(range(2 * n))  # row i is node i, column j node n + j
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, cols in enumerate(support):
+        for j in cols:
+            parent[find(n + j)] = find(i)
+    components: dict = {}
+    for x in range(2 * n):
+        components.setdefault(find(x), ([], []))[x >= n].append(x % n)
+    return list(components.values())
 
 
 @dataclass
 class GramStructure:
-    """The shape of a Gram matrix that the exact paths read.
+    """The shape of a Gram matrix that the determinant test and the
+    Nakayama solve read.
 
-    ``zero_line`` is (i, "right") for a zero row i, whose basis element has
-    no right witness, or (i, "left") for a zero column i; rows come first
-    at each position.  ``pivot_row[j]`` is the row of the only nonzero
-    entry of column j when M is a generalized permutation (one nonzero
-    entry per row and column).
-    ``scalars`` is M over F_p when every nonzero entry is a unit scalar.
+    ``blocks`` are the connected components of M's nonzero pattern (see
+    ``_blocks``).  ``zero_line`` is (i, "right") for a zero row i, whose
+    basis element has no right witness, or (i, "left") for a zero column
+    i; rows come first at each position.  ``scalar`` says that every
+    nonzero entry is a scalar c * 1.
     """
 
-    zero_line: Optional[tuple] = None
-    pivot_row: Optional[list[int]] = None
-    scalars: Optional[list[list[int]]] = None
+    blocks: list
+    zero_line: Optional[tuple]
+    scalar: bool
 
 
 def _gram_structure(M: list[list[Element]], E: CentralFreeExtension) -> GramStructure:
-    n = len(M)
-    row_count = [0] * n
-    col_count = [0] * n
-    pivot_row = [0] * n
-    scalars: Optional[list] = []
-    for i, row in enumerate(M):
-        srow = [0] * n
-        for j, el in enumerate(row):
-            if el.is_zero():
-                continue
-            row_count[i] += 1
-            col_count[j] += 1
-            pivot_row[j] = i
-            if scalars is not None:
-                c = _unit_scalar(E, el)
-                if c is None:
-                    scalars = None
-                else:
-                    srow[j] = c
-        if scalars is not None:
-            scalars.append(srow)
-    for i in range(n):
-        if not row_count[i]:
-            return GramStructure(zero_line=(i, "right"))
-        if not col_count[i]:
-            return GramStructure(zero_line=(i, "left"))
-    permutation = all(c == 1 for c in row_count) and all(c == 1 for c in col_count)
-    return GramStructure(pivot_row=pivot_row if permutation else None, scalars=scalars)
+    # one walk over M; everything after it reads only the nonzero entries
+    support = [[j for j, el in enumerate(row) if el.terms] for row in M]
+    blocks = _blocks(support)
+    lines = [(r[0], 0) if r else (c[0], 1) for r, c in blocks if not (r and c)]
+    zero_line = None
+    if lines:
+        i, side = min(lines)
+        zero_line = (i, ("right", "left")[side])
+    one = (E.ambient.one,)
+    scalar = all(
+        tuple(M[i][j].terms) == one for i, cols in enumerate(support) for j in cols
+    )
+    return GramStructure(blocks, zero_line, scalar)
 
 
 def _poly_cross(a: dict, b: dict, c: dict, d: dict, p: int) -> dict:
@@ -420,12 +428,9 @@ def _poly_det(rows: list[list[dict]], p: int) -> dict:
     Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step
     k every entry right of and below the pivot is a (k+1)-minor of the
     input, so dividing by the previous pivot is exact.  A zero pivot is
-    swapped with a lower row, which flips the sign.  A zero entry whose
-    row meets the pivot column in a zero, or whose column meets the pivot
-    row in a zero, stays zero, (a_kk * 0 - 0 * x) / prev = 0, and is
-    skipped.  When the pivot equals the previous one, a row that meets the
-    pivot column in a zero stays as it is, (a_kk * x - 0) / prev = x, and
-    is skipped whole.
+    swapped with a lower row, which flips the sign.  A 1x1 matrix is its
+    entry.  The determinant test hands it one connected block of a Gram
+    matrix at a time, which is mostly nonzero, so no entry is skipped.
     """
     A = [list(row) for row in rows]
     n = len(A)
@@ -437,13 +442,8 @@ def _poly_det(rows: list[list[dict]], p: int) -> dict:
                 return {}
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
-        same = A[k][k] == prev
         for i in range(k + 1, n):
-            if same and not A[i][k]:
-                continue
             for j in range(k + 1, n):
-                if not (A[i][j] or A[i][k] and A[k][j]):
-                    continue
                 f = _poly_cross(A[k][k], A[i][j], A[i][k], A[k][j], p)
                 A[i][j] = f if prev is None else _poly_div(f, prev, p)
         prev = A[k][k]
@@ -466,43 +466,33 @@ def det_is_unit(M: list[list[Element]], E: CentralFreeExtension) -> GramStatus:
 
 
 def _status_of(M, E: CentralFreeExtension, structure: GramStructure) -> GramStatus:
-    p = E.ambient.field.p
     if structure.zero_line is not None:
         i, side = structure.zero_line
         line = "row" if side == "right" else "column"
         return GramStatus(
             "singular", "structure", detail=f"zero {line} {i}", zero_line=structure.zero_line
         )
-
-    if structure.pivot_row is not None:
-        if structure.scalars is not None:
-            return GramStatus("unit-determinant", "generalized-permutation")
-        return GramStatus(
-            "singular",
-            "generalized-permutation",
-            detail="a pivot is a non-unit of the subring",
+    blocks = structure.blocks
+    if all(len(rows) == 1 for rows, _ in blocks):
+        method, non_unit = "generalized-permutation", "a pivot is a non-unit of the subring"
+    else:
+        method = "scalar-determinant" if structure.scalar else "exact-determinant"
+        non_unit = None
+    p, exponents = E.ambient.field.p, E.engine.exponents
+    degree = 0
+    for rows, cols in blocks:
+        det = len(rows) == len(cols) and _poly_det(
+            [[{exponents(idx): c for idx, c in M[i][j].terms.items()} for j in cols]
+             for i in rows],
+            p,
         )
-
-    # all entries scalar: determinant over F_p is exact
-    if structure.scalars is not None:
-        if fp_det(structure.scalars, p):
-            return GramStatus("unit-determinant", "scalar-determinant")
-        return GramStatus("singular", "scalar-determinant", detail="determinant is 0")
-
-    exponents = E.engine.exponents
-    det = _poly_det(
-        [[{exponents(idx): c for idx, c in el.terms.items()} for el in row] for row in M], p
-    )
-    if not det:
-        return GramStatus("singular", "exact-determinant", detail="determinant is 0")
-    degree = max(sum(e) for e in det)
+        if not det:
+            return GramStatus("singular", method, detail="determinant is 0")
+        degree += max(sum(e) for e in det)
     if degree:
-        return GramStatus(
-            "singular",
-            "exact-determinant",
-            detail=f"determinant is non-constant (total degree {degree})",
-        )
-    return GramStatus("unit-determinant", "exact-determinant")
+        detail = non_unit or f"determinant is non-constant (total degree {degree})"
+        return GramStatus("singular", method, detail=detail)
+    return GramStatus("unit-determinant", method)
 
 
 def mapping_degree(E: CentralFreeExtension) -> Optional[GroupElement]:
@@ -617,14 +607,13 @@ def nakayama_on_generators(
 
     With nu(g) = sum over b of s_b * b and S central, the condition over
     the basis reads  sum_b s_b * M[b][c] = Phi(c * g)  for every c, a
-    finite linear system over S.  It is solved directly when the Gram
-    matrix is a generalized permutation with unit pivots, and through the
-    F_p inverse when the Gram matrix is scalar; both are read off the
-    structure scan that the certificate's determinant test made.  The
-    whole-basis identity check below guards the solution.  It is then
-    revalidated on NAKAYAMA_CHECKS random pairs, extending nu
-    multiplicatively through one table of generator powers nu(x_k)^e built
-    for this solve.
+    finite linear system over S.  It is solved when the Gram matrix is
+    scalar, block by block over the structure scan that the certificate's
+    determinant test made: M^-1 is M's blocks inverted over F_p, a 1x1
+    block being a pivot inverted.  The whole-basis identity check below
+    guards the solution.  It is then revalidated on NAKAYAMA_CHECKS random
+    pairs, extending nu multiplicatively through one table of generator
+    powers nu(x_k)^e built for this solve.
     """
     if certificate is None:
         certificate = verify_frobenius(E)
@@ -636,19 +625,16 @@ def nakayama_on_generators(
     n = len(basis)
     # the determinant test's scan of this Gram system, read, not redone
     structure = certificate.gram_status.structure
-    scalars = structure.scalars
-    if scalars is None:
-        raise UnsupportedStructure(
-            "Nakayama solve needs a generalized-permutation or scalar Gram matrix"
-        )
-    # weights[j] = {i: W[j][i]}, the nonzero entries of row j of W = M^-1
-    if structure.pivot_row is not None:
-        weights = [{i: A.field.inv(scalars[i][j])} for j, i in enumerate(structure.pivot_row)]
-    else:
-        inv = fp_inverse(scalars, A.field.p)
-        if inv is None:
-            raise AlgebraDefinitionError("scalar Gram matrix is singular")
-        weights = [{i: w for i, w in enumerate(row) if w} for row in inv]
+    if not structure.scalar:
+        raise UnsupportedStructure("Nakayama solve needs a scalar Gram matrix")
+    M, one = E.gram(), A.one
+    # weights[j] = {i: W[j][i]}, the nonzero entries of row j of W = M^-1;
+    # a frobenius verdict makes every block square and invertible
+    weights: dict = {}
+    for rows, cols in structure.blocks:
+        inv = fp_inverse([[M[i][j].terms.get(one, 0) for j in cols] for i in rows], A.field.p)
+        for j, row in zip(cols, inv):
+            weights[j] = {i: w for i, w in zip(rows, row) if w}
 
     def solve(rhs: list[Element]) -> Element:
         """sum over i of (sum over j of W[j][i] * rhs[j]) * b_i."""
@@ -776,9 +762,13 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
         return total % p
 
     # the pairing is read from the Gram system, built here if need be; a
-    # zero entry pairs to 0
+    # zero entry pairs to 0.  Its rank is the sum of its blocks' ranks.
     pairing = [[value(el) if el.terms else 0 for el in row] for row in E.gram()]
-    rank = fp_rank(pairing, p)
+    support = [[j for j, v in enumerate(row) if v] for row in pairing]
+    rank = sum(
+        fp_rank([[pairing[i][j] for j in cols] for i in rows], p)
+        for rows, cols in _blocks(support)
+    )
     return ReducedExtension(
         point=point,
         basis=basis,

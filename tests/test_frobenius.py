@@ -472,6 +472,30 @@ def test_nakayama_multiplies_out_generator_powers_once(monkeypatch):
     assert calls["multiply"] <= 1500
 
 
+@pytest.mark.parametrize("ell, images", [(2, None), (3, {"y": 4, "x": 2}), (4, None)])
+def test_nakayama_inverts_scalar_gram_blocks_on_the_filtered_qweyl_algebra(ell, images):
+    # the lifted top-slot form has a scalar Gram matrix whose blocks reach
+    # ell x ell, so the solve inverts whole blocks over F_p, not pivots
+    W = quantum_weyl(ell)
+    graded = ell_centre_extension(quantum_plane_of_weyl(W).algebra(), ell)
+    E = ell_centre_extension(W, ell)
+    E = E.with_form(lift_form(E, graded))
+    cert = verify_frobenius(E)
+    assert cert.gram_status.method == "scalar-determinant"
+    assert max(len(rows) for rows, _ in cert.gram_status.structure.blocks) == ell
+    nak = nakayama_on_generators(E, cert, rng=random.Random(0))
+    nu = automorphism(W, nak.images_by_index)
+    for b in E.basis:
+        for c in E.basis:
+            lhs = E.form(multiply(W, W.monomial(b), W.monomial(c)))
+            assert lhs == E.form(multiply(W, nu(W.monomial(c)), W.monomial(b))), (b, c)
+    if images is not None:
+        assert nak.images == {
+            name: W.monomial(g, images[name])
+            for name, g in zip(W.generator_names, W.generator_indices)
+        }
+
+
 def test_nakayama_requires_frobenius_verdict():
     ell, n = 3, 2
     A = make_qas(n, ell, 7)
@@ -716,7 +740,7 @@ def test_nakayama_reads_the_determinant_tests_structure_scan(monkeypatch):
     cert = verify_frobenius(ext)
     nak = nakayama_on_generators(ext, cert)
     assert len(scans) == 1 and nak.checked_pairs == 200
-    assert cert.gram_status.structure.pivot_row is not None
+    assert all(len(rows) == len(cols) == 1 for rows, cols in cert.gram_status.structure.blocks)
     assert "structure" not in repr(cert.gram_status)
 
 
@@ -1011,17 +1035,14 @@ def test_poly_div_undoes_products():
 
 @pytest.mark.parametrize(
     "ell, slot, crosses",
-    [(4, None, 99), (5, None, 327), (7, (2, 6), 1724)],
+    [(4, None, 26), (5, None, 70), (7, (2, 6), 301)],
     ids=["rees-ell4", "rees-ell5", "qweyl-ell7-slot26"],
 )
-def test_elimination_skips_entries_that_stay_zero(monkeypatch, ell, slot, crosses):
-    # an entry that is zero and meets the pivot's row or column in a zero
-    # stays zero, and so does a whole row that meets the pivot column in a
-    # zero when the pivot equals the previous one; cross products only for
-    # the others.  Without either skip the Rees Gram matrix at ell 4 (rank
-    # 16) took 1,240 and the ell-7 slot (2, 6) (rank 49) 38,024; with the
-    # entry skip alone these and the ell-5 Rees matrix (rank 25) took 168,
-    # 2,576 and 483
+def test_elimination_runs_once_per_block(monkeypatch, ell, slot, crosses):
+    # these Gram matrices split into 2 ell - 1 blocks of sizes 1, 1, 2, 2,
+    # ..., ell, and a k x k block takes 1^2 + ... + (k-1)^2 cross products:
+    # 26, 70 and 301.  The whole-matrix elimination took 99, 327 and 1,724
+    # with its two zero skips and 1,240, 4,900 and 38,024 without them
     E = ell_centre_extension(quantum_weyl(ell), ell)
     if slot is None:
         _, E = rees_extension(E)
@@ -1196,8 +1217,8 @@ def matrices_over_s(draw):
     Gram matrices of slot sums are rarely units beyond permutations, so
     half the draws are unimodular: a unit diagonal under a few row
     operations with polynomial factors.  The other half are sparse: an
-    entry is empty at least half the time, which is what the elimination's
-    zero skip reads.
+    entry is empty at least half the time, so the block split often finds
+    several blocks, some of them not square.
     """
     n, p = draw(st.sampled_from([(1, 5), (1, 13), (2, 5), (2, 31)]))
     k = draw(st.integers(2, 6))
@@ -1237,6 +1258,44 @@ def _zero_that_fills_in():
     alg = make_qas(1, 2, 5).algebra()
     z, one, zero = alg.monomial((2,)), alg.one_element(), alg.zero()
     return [[one + z, one, z], [one, zero, zero], [z, zero, one]]
+
+
+def _non_square_blocks():
+    # no zero row or column, and the pattern splits into a 2x1 and a 1x2
+    # block, so det M is 0
+    alg = make_qas(1, 2, 5).algebra()
+    z, one, zero = alg.monomial((2,)), alg.one_element(), alg.zero()
+    return [[z, zero, zero], [one, zero, zero], [zero, one, z]]
+
+
+def test_non_square_blocks_without_a_zero_line_are_singular():
+    ext = ell_centre_extension(make_qas(1, 2, 5).algebra(), 2)
+    status = det_is_unit(_non_square_blocks(), ext)
+    assert (status.kind, status.method, status.detail, status.zero_line) == (
+        "singular", "exact-determinant", "determinant is 0", None
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=(5, 1, _non_square_blocks(), False))
+@given(case=matrices_over_s())
+def test_block_determinants_multiply_to_the_exact_determinant(case):
+    p, n, M, _ = case
+    exact = [[{tuple(e // 2 for e in s): v for s, v in el.terms.items()} for el in row]
+             for row in M]
+    det = {(0,) * n: 1}
+    blocks = frobenius._blocks([[j for j, f in enumerate(row) if f] for row in exact])
+    for rows, cols in blocks:
+        block = [[exact[i][j] for j in cols] for i in rows]
+        block_det = frobenius._poly_det(block, p) if len(rows) == len(cols) else {}
+        det = frobenius._poly_cross(det, block_det, {}, {}, p)
+    event(f"{len(blocks)} blocks")
+    oracle = det_over_s_oracle(exact, p, n)
+    assert det in (oracle, {e: -c % p for e, c in oracle.items()})
+    status = det_is_unit(M, ell_centre_extension(make_qas(n, 2, p).algebra(), 2))
+    assert is_unit_oracle(oracle, n) == (status.kind == "unit-determinant"), status
+    if not oracle and status.zero_line is None:
+        assert status.detail == "determinant is 0", status
 
 
 @settings(max_examples=100, deadline=None)
