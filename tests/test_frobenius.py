@@ -472,8 +472,8 @@ def test_nakayama_multiplies_out_generator_powers_once(monkeypatch):
     assert calls["multiply"] <= 1500
 
 
-@pytest.mark.parametrize("ell, images", [(2, None), (3, {"y": 4, "x": 2}), (4, None)])
-def test_nakayama_inverts_scalar_gram_blocks_on_the_filtered_qweyl_algebra(ell, images):
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_nakayama_inverts_scalar_gram_blocks_on_the_filtered_qweyl_algebra(ell):
     # the lifted top-slot form has a scalar Gram matrix whose blocks reach
     # ell x ell, so the solve inverts whole blocks over F_p, not pivots
     W = quantum_weyl(ell)
@@ -489,11 +489,8 @@ def test_nakayama_inverts_scalar_gram_blocks_on_the_filtered_qweyl_algebra(ell, 
         for c in E.basis:
             lhs = E.form(multiply(W, W.monomial(b), W.monomial(c)))
             assert lhs == E.form(multiply(W, nu(W.monomial(c)), W.monomial(b))), (b, c)
-    if images is not None:
-        assert nak.images == {
-            name: W.monomial(g, images[name])
-            for name, g in zip(W.generator_names, W.generator_indices)
-        }
+    if ell == 3:
+        assert nak.images == {"y": W.monomial((1, 0), 4), "x": W.monomial((0, 1), 2)}
 
 
 def test_nakayama_requires_frobenius_verdict():
