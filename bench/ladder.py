@@ -99,6 +99,18 @@ def reduce(ell: int):
     return prepare
 
 
+def determinant(ell: int):
+    """det_is_unit on the Gram matrix of make_qas(2, ell), built before the
+    clock starts: the structure scan and the 1x1 block determinants."""
+
+    def prepare():
+        ext = ell_centre_extension(make_qas(2, ell).algebra(), ell)
+        M = gram_matrix(ext)
+        return lambda: det_is_unit(M, ext)
+
+    return prepare
+
+
 def qweyl_slot_determinants(ell: int):
     """det_is_unit on the Gram matrix of every slot of the q-Weyl
     ell-centre; the matrices are built before the clock starts."""
@@ -123,6 +135,7 @@ CASES = (
     *(Case(f"nakayama_on_generators rank {ell**n}", 3, nakayama(n, ell))
       for n, ell in ((4, 3), (3, 5), (2, 13))),
     *(Case(f"reduce_at_point rank {ell**2}", 3, reduce(ell)) for ell in (13, 31)),
+    *(Case(f"det_is_unit rank {ell**2}", 3, determinant(ell)) for ell in (13, 31)),
     Case("cli qweyl-transfer --ell 5", 3, command("qweyl-transfer", "--ell", "5")),
     Case("cli rees-demo --ell 4 --window 12", 3,
          command("rees-demo", "--ell", "4", "--window", "12")),

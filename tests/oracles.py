@@ -7,7 +7,8 @@ closed-form normal-ordering rules or enumerations; that is the point.
 The Gram determinant oracle expands det over S permutation by permutation
 instead of reading the structure the package's determinant paths use, and
 the Gram matrix oracles project each product as a whole rather than its
-terms through a table of form values.
+terms through a table of form values.  ``dense_rows`` and ``sparse_rows``
+convert between the package's sparse Gram rows and dense matrices.
 """
 
 import itertools
@@ -47,6 +48,43 @@ def word_to_exps(word, n):
     for letter in word:
         exps[letter] += 1
     return tuple(exps)
+
+
+def dense_rows(rows, zero):
+    """Sparse rows {column: entry} as the dense square matrix the Gram
+    oracles return, with ``zero`` where a column is missing."""
+    return [[row.get(j, zero) for j in range(len(rows))] for row in rows]
+
+
+def sparse_rows(rows):
+    """A hand-built dense matrix as sparse rows {column: entry}, keeping
+    the nonzero entries only.  Not for checking that a matrix stores no
+    zeros: it drops them."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def components_oracle(rows):
+    """Connected components of a dense square matrix's nonzero pattern, as
+    a set of (row tuple, column tuple), by breadth-first search from each
+    row not yet reached; every column no row reaches is a component of its
+    own.  Row i and column j are joined when rows[i][j] is nonzero."""
+    n = len(rows)
+    out, reached = set(), set()
+    for start in range(n):
+        if any(start in r for r, _ in out):
+            continue
+        rs, cs, frontier = {start}, set(), [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if rows[i][j] and j not in cs:
+                    cs.add(j)
+                    new = {k for k in range(n) if rows[k][j]} - rs
+                    rs |= new
+                    frontier.extend(new)
+        reached |= cs
+        out.add((tuple(sorted(rs)), tuple(sorted(cs))))
+    return out | {((), (j,)) for j in range(n) if j not in reached}
 
 
 def qas_product_oracle(cmatrix, ell, a, b):

@@ -37,16 +37,30 @@ from frobex.grpdeg import DegreeMultiset, GroupElement
 from frobex.qas import RestrictedBasisEngine, make_qas, quantum_plane_of_weyl, quantum_weyl
 from frobex.rees import ReesEngine, rees_extension
 from oracles import (
+    components_oracle,
+    dense_rows,
     det_over_s_oracle,
     is_unit_oracle,
     qas_gram_oracle,
     qas_product_oracle,
     qweyl_gram_oracle,
+    sparse_rows,
 )
 
 
 def zero_cmatrix(n):
     return tuple(tuple(0 for _ in range(n)) for _ in range(n))
+
+
+def assert_rows_store_the_nonzero_pattern(M, exact):
+    """M's sparse rows store nonzero entries only, at int columns in
+    range(rank), exactly where the oracle's dense matrix is nonzero, and
+    M's blocks are that pattern's components.  A stored zero would join a
+    zero row to a block and hide its f1-witness-missing refutation."""
+    rank = len(M)
+    assert all(type(j) is int and 0 <= j < rank and el for row in M for j, el in row.items())
+    assert [set(row) for row in M] == [set(row) for row in sparse_rows(exact)]
+    assert {(tuple(r), tuple(c)) for r, c in frobenius._blocks(M)} == components_oracle(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +89,8 @@ def test_gram_matrix_rank_one_ell_two():
     ext = ell_centre_extension(A.algebra(), 2)
     M = gram_matrix(ext)
     alg = A.algebra()
-    one, zero = alg.one_element(), alg.zero()
-    assert M == [[zero, one], [one, zero]]
+    one = alg.one_element()
+    assert M == [{1: one}, {0: one}]
     status = det_is_unit(M, ext)
     assert status.kind == "unit-determinant"
     assert status.method == "generalized-permutation"
@@ -87,7 +101,7 @@ def test_gram_antidiagonal_and_unit_row():
     A = make_qas(n, ell, 7)
     ext = ell_centre_extension(A.algebra(), ell)
     basis = ext.basis
-    M = gram_matrix(ext)
+    M = dense_rows(gram_matrix(ext), A.algebra().zero())
     pos = {b: i for i, b in enumerate(basis)}
     for b in basis:
         comp = tuple(ell - 1 - e for e in b)
@@ -135,10 +149,12 @@ def test_gram_system_built_once():
     assert verify_frobenius(ext).gram_status == cert.gram_status
     assert gram_matrix(ext) == M
     assert calls == []
-    # gram_matrix hands out copies
-    M[0][0] = M[0][-1]
+    # gram_matrix hands out copies; a QAS row has one nonzero entry, at
+    # the last column for b = 0
+    M[0][0] = M[0][len(basis) - 1]
     M[1].clear()
-    assert gram_matrix(ext)[0][0].is_zero() and len(gram_matrix(ext)[1]) == len(basis)
+    fresh = gram_matrix(ext)
+    assert list(fresh[0]) == [len(basis) - 1] and len(fresh[1]) == 1
 
 
 def test_new_form_gets_a_fresh_gram_system():
@@ -243,9 +259,11 @@ def test_gram_and_reduction_tables_match_word_oracle():
         point = tuple(rng.randrange(p) for _ in range(n))
         # a reduction that builds the Gram system and one that reads it
         red_fresh = reduce_at_point(ext, point)
-        M = gram_matrix(ext)
+        M = dense_rows(gram_matrix(ext), alg.zero())
         red = reduce_at_point(ext, point)
         assert red_fresh.pairing == red.pairing
+        assert all(v for row in red.pairing for v in row.values())
+        pairing = dense_rows(red.pairing, 0)
         top = (ell - 1,) * n
         for i, b in enumerate(ext.basis):
             for j, c in enumerate(ext.basis):
@@ -259,14 +277,26 @@ def test_gram_and_reduction_tables_match_word_oracle():
                 value = coeff
                 for x, lam in zip(s, point):
                     value = value * pow(lam, x // ell, p) % p
-                assert red.pairing[i][j] == (value if r == top else 0)
+                assert pairing[i][j] == (value if r == top else 0)
+
+
+def test_reduced_pairing_drops_the_values_that_vanish_at_the_point():
+    # on the slot-0 projection M[b][c] is k * x^(b + c) with b + c = 3s,
+    # so at the point (0, 2) every entry with s_1 > 0 vanishes and the
+    # pairing stores none of them; rows 1 and 2 are x2 and x2^2, whose
+    # product x2^3 pairs to 2
+    ext = ell_centre_extension(make_qas(2, 3, 7).algebra(), 3)
+    low = ext.with_form(ProjectionForm(ext.engine, (0, 0)))
+    red = reduce_at_point(low, (0, 2))
+    assert red.pairing == [{0: 1}, {2: 2}, {1: 2}] + [{}] * 6
+    assert red.pairing_rank == 3 and not red.nondegenerate
 
 
 def test_det_zero_row_is_singular():
     A = make_qas(1, 2, 5)
     ext = ell_centre_extension(A.algebra(), 2)
     alg = A.algebra()
-    M = [[alg.zero(), alg.zero()], [alg.one_element(), alg.zero()]]
+    M = sparse_rows([[alg.zero(), alg.zero()], [alg.one_element(), alg.zero()]])
     assert det_is_unit(M, ext).kind == "singular"
 
 
@@ -529,9 +559,10 @@ def test_reduce_at_random_points():
                 assert red.nondegenerate and red.dim == ell**n
 
 
-def test_rank_169_verify_and_reduce_stay_small():
-    # the Gram system is M alone: rank^2 pointers, mostly to one shared zero
-    ext = ell_centre_extension(make_qas(2, 13).algebra(), 13)
+def verify_and_reduce_peak(ell):
+    """tracemalloc peak of verify_frobenius and one reduce_at_point on
+    make_qas(2, ell), Gram system included."""
+    ext = ell_centre_extension(make_qas(2, ell).algebra(), ell)
     tracemalloc.start()
     try:
         cert = verify_frobenius(ext)
@@ -540,12 +571,23 @@ def test_rank_169_verify_and_reduce_stay_small():
     finally:
         tracemalloc.stop()
     assert cert.verdict == "frobenius" and red.nondegenerate
-    assert peak < 4_000_000
+    return peak
+
+
+def test_rank_169_verify_and_reduce_stay_small():
+    # the Gram system is M alone: one stored entry per row
+    assert verify_and_reduce_peak(13) < 4_000_000
+
+
+def test_rank_961_verify_and_reduce_stay_small():
+    # the Gram rows and the pairing store their 961 nonzero entries only;
+    # dense rank x rank rows peaked at about 16 MB
+    assert verify_and_reduce_peak(31) < 4_000_000
 
 
 def test_rank_169_gram_builds_one_element_per_nonzero_entry(monkeypatch):
-    # an entry costs its product and one split lookup; every zero entry is
-    # the form's shared zero, so only the nonzero entries build elements
+    # an entry costs its product and one split lookup, and a row stores
+    # its nonzero entries only, so only those build elements
     ext = ell_centre_extension(make_qas(2, 13).algebra(), 13)
     made = []
     init = Element.__init__
@@ -555,12 +597,13 @@ def test_rank_169_gram_builds_one_element_per_nonzero_entry(monkeypatch):
         init(el, *args, **kwargs)
 
     monkeypatch.setattr(Element, "__init__", counted)
-    nonzero = sum(1 for row in ext.gram() for z in row if z)
-    assert nonzero == 169
-    # one element per nonzero entry, the one nonzero image Phi(x^t) (at
-    # the top slot t) and the shared zero; the monomials x^t handed to the
-    # form are wrapped without a build
-    assert len(made) == nonzero + 2
+    M = ext.gram()
+    nonzero = sum(1 for row in M for z in row.values() if z)
+    assert nonzero == sum(map(len, M)) == 169
+    # one element per nonzero entry and the one nonzero image Phi(x^t) (at
+    # the top slot t); the monomials x^t handed to the form are wrapped
+    # without a build
+    assert len(made) == nonzero + 1
 
 
 def test_rank_169_gram_build_evaluates_the_form_once_per_product_index():
@@ -694,7 +737,9 @@ def test_off_grade_generator_pair_keeps_the_full_gram_build():
         del calls[:]
         M = ext.gram()
         assert set(itertools.product(basis, repeat=2)) <= set(calls)
-        assert M == [[ext.form(Element(A.field, mul(b, c))) for c in basis] for b in basis]
+        assert dense_rows(M, A.zero()) == [
+            [ext.form(Element(A.field, mul(b, c))) for c in basis] for b in basis
+        ]
         assert not M[basis.index((0, 1))][basis.index((1, 0))].is_zero()
 
 
@@ -720,8 +765,10 @@ def test_graded_gram_matches_word_oracle_on_every_slot(shape, seed, data):
     for slot in ext.basis:
         M = ext.with_form(ProjectionForm(ext.engine, slot)).gram()
         got = [[{tuple(e // ell for e in s): v for s, v in el.terms.items()} for el in row]
-               for row in M]
-        assert got == qas_gram_oracle(C, ell, A.field.zeta, A.field.p, {slot: 1}), slot
+               for row in dense_rows(M, A.algebra().zero())]
+        exact = qas_gram_oracle(C, ell, A.field.zeta, A.field.p, {slot: 1})
+        assert got == exact, slot
+        assert_rows_store_the_nonzero_pattern(M, exact)
 
 
 def test_nakayama_reads_the_determinant_tests_structure_scan(monkeypatch):
@@ -966,13 +1013,13 @@ def test_det_exact_determinant_paths():
     one = alg.one_element()
     z = alg.monomial((2,))
     # constant determinant 1 + z - z = 1
-    status = det_is_unit([[one + z, z], [one, one]], ext)
+    status = det_is_unit(sparse_rows([[one + z, z], [one, one]]), ext)
     assert (status.kind, status.method, status.detail) == (
         "unit-determinant", "exact-determinant", ""
     )
 
     # identically vanishing determinant
-    status = det_is_unit([[z, z], [z, z]], ext)
+    status = det_is_unit(sparse_rows([[z, z], [z, z]]), ext)
     assert (status.kind, status.method, status.detail) == (
         "singular", "exact-determinant", "determinant is 0"
     )
@@ -983,11 +1030,11 @@ def test_det_exact_determinant_paths():
     alg5 = small.algebra()
     one5 = alg5.one_element()
     big = alg5.monomial((12,))
-    status = det_is_unit([[one5 + big, big], [one5, one5]], ext5)
+    status = det_is_unit(sparse_rows([[one5 + big, big], [one5, one5]]), ext5)
     assert (status.kind, status.method) == ("unit-determinant", "exact-determinant")
 
     # z^6 - z^2 - 1 is -1 at every point of F_5, and still not a unit
-    status = det_is_unit([[big, one5], [one5 + alg5.monomial((4,)), one5]], ext5)
+    status = det_is_unit(sparse_rows([[big, one5], [one5 + alg5.monomial((4,)), one5]]), ext5)
     assert (status.kind, status.method, status.detail) == (
         "singular", "exact-determinant", "determinant is non-constant (total degree 6)"
     )
@@ -1105,7 +1152,7 @@ def test_graded_and_filtered_verdicts_agree_on_every_slot(ell):
             exact = [
                 [{(a // ell, b // ell, g - a - b): v for ((a, b), g), v in el.terms.items()}
                  for el in row]
-                for row in R.gram()
+                for row in dense_rows(R.gram(), R.ambient.zero())
             ]
             unit = is_unit_oracle(det_over_s_oracle(exact, p, 3), 3)
             assert unit == (r.gram_status.kind == "unit-determinant"), (slot, r)
@@ -1158,16 +1205,29 @@ class SlotSum:
 def test_qweyl_slot_gram_matrices_match_word_oracle(ell):
     # q-Weyl products have several terms, so an entry sums the form's
     # values on the terms of one product; under a sum of every slot, terms
-    # of one product land on one central monomial and add up
+    # of one product land on one central monomial and add up, and under
+    # ``cancel`` the terms q * yx + 1 of x * y cancel, so that entry is zero
     W = quantum_weyl(ell)
     E = ell_centre_extension(W, ell)
     assert max(len(W.mul_indices(b, c)) for b in E.basis for c in E.basis) == ell
     every = {r: i + 1 for i, r in enumerate(E.basis)}
-    for weights in [{slot: 1} for slot in E.basis] + [every]:
+    cancel = {(1, 1): 1, (0, 0): -W.field.zeta % W.field.p}
+    for weights in [{slot: 1} for slot in E.basis] + [every, cancel]:
         M = gram_matrix(E.with_form(SlotSum(E, weights)))
         got = [[{(a // ell, b // ell): v for (a, b), v in el.terms.items()} for el in row]
-               for row in M]
-        assert got == qweyl_gram_oracle(W.field, ell, weights), weights
+               for row in dense_rows(M, W.zero())]
+        exact = qweyl_gram_oracle(W.field, ell, weights)
+        assert got == exact, weights
+        assert_rows_store_the_nonzero_pattern(M, exact)
+    # M is the last form's, cancel's: x * y has two terms, and no entry
+    x, y = E.basis.index((0, 1)), E.basis.index((1, 0))
+    assert len(W.mul_indices((0, 1), (1, 0))) == 2 and y not in M[x]
+    # the Rees Gram matrix of the top slot has the base pattern, its basis
+    # (b, deg b) in degree order
+    _, R = rees_extension(E)
+    pos = [E.basis.index(b) for b, _ in R.basis]
+    top = qweyl_gram_oracle(W.field, ell, {E.engine.top_slot(): 1})
+    assert_rows_store_the_nonzero_pattern(R.gram(), [[top[i][j] for j in pos] for i in pos])
 
 
 @settings(max_examples=150, deadline=None)
@@ -1198,7 +1258,8 @@ def test_det_is_unit_agrees_with_exact_oracle(shape, dim, data):
     M = gram_matrix(ext)
     exact = qas_gram_oracle(C, ell, A.field.zeta, p, weights)
     assert [[{tuple(e // ell for e in s): v for s, v in el.terms.items()} for el in row]
-            for row in M] == exact
+            for row in dense_rows(M, A.algebra().zero())] == exact
+    assert_rows_store_the_nonzero_pattern(M, exact)
     status = det_is_unit(M, ext)
     event(f"{status.kind} via {status.method}")
     assert status.kind in ("unit-determinant", "singular"), status
@@ -1267,7 +1328,7 @@ def _non_square_blocks():
 
 def test_non_square_blocks_without_a_zero_line_are_singular():
     ext = ell_centre_extension(make_qas(1, 2, 5).algebra(), 2)
-    status = det_is_unit(_non_square_blocks(), ext)
+    status = det_is_unit(sparse_rows(_non_square_blocks()), ext)
     assert (status.kind, status.method, status.detail, status.zero_line) == (
         "singular", "exact-determinant", "determinant is 0", None
     )
@@ -1281,7 +1342,7 @@ def test_block_determinants_multiply_to_the_exact_determinant(case):
     exact = [[{tuple(e // 2 for e in s): v for s, v in el.terms.items()} for el in row]
              for row in M]
     det = {(0,) * n: 1}
-    blocks = frobenius._blocks([[j for j, f in enumerate(row) if f] for row in exact])
+    blocks = frobenius._blocks(sparse_rows(exact))
     for rows, cols in blocks:
         block = [[exact[i][j] for j in cols] for i in rows]
         block_det = frobenius._poly_det(block, p) if len(rows) == len(cols) else {}
@@ -1289,7 +1350,7 @@ def test_block_determinants_multiply_to_the_exact_determinant(case):
     event(f"{len(blocks)} blocks")
     oracle = det_over_s_oracle(exact, p, n)
     assert det in (oracle, {e: -c % p for e, c in oracle.items()})
-    status = det_is_unit(M, ell_centre_extension(make_qas(n, 2, p).algebra(), 2))
+    status = det_is_unit(sparse_rows(M), ell_centre_extension(make_qas(n, 2, p).algebra(), 2))
     assert is_unit_oracle(oracle, n) == (status.kind == "unit-determinant"), status
     if not oracle and status.zero_line is None:
         assert status.detail == "determinant is 0", status
@@ -1302,7 +1363,7 @@ def test_block_determinants_multiply_to_the_exact_determinant(case):
 def test_det_is_unit_on_matrices_over_s_agrees_with_exact_oracle(case):
     p, n, M, unimodular = case
     ext = ell_centre_extension(make_qas(n, 2, p).algebra(), 2)
-    status = det_is_unit(M, ext)
+    status = det_is_unit(sparse_rows(M), ext)
     event(f"{status.kind} via {status.method}")
     assert status.kind in ("unit-determinant", "singular"), status
     exact = [[{tuple(e // 2 for e in s): v for s, v in el.terms.items()} for el in row]
