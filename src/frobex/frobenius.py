@@ -31,11 +31,12 @@ polynomial ring over F_p, a domain whose units are the nonzero constants,
 so M is a unit exactly when no block determinant is 0 and their total
 degrees add up to 0.
 
-The Gram matrix is built once per extension and form and shared by the
-determinant test, the Nakayama solve and reduction at points; see
-``CentralFreeExtension.gram``.  A slot projection on an engine that has
-proved the exponent grading builds one entry per row, the rest being zero
-by that proof; any other form builds all rank^2 entries.  The determinant
+The Gram matrix is built once per extension and form, stored as sparse
+rows of its nonzero entries, and shared by the determinant test, the
+Nakayama solve and reduction at points; see ``CentralFreeExtension.gram``.
+A slot projection on an engine that has proved the exponent grading
+computes one entry per row, the rest being zero by that proof; any other
+form computes all rank^2 entries.  The determinant
 test's structure scan rides on its status, and the Nakayama solve reads it
 from there.
 """
