@@ -78,6 +78,17 @@ def verify(n: int, ell: int):
     return prepare
 
 
+def extension(ell: int):
+    """ell_centre_extension on a fresh make_qas(2, ell): the engine, the
+    form and ``validate``."""
+
+    def prepare():
+        algebra = make_qas(2, ell).algebra()
+        return lambda: ell_centre_extension(algebra, ell)
+
+    return prepare
+
+
 def nakayama(n: int, ell: int):
     def prepare():
         ext = ell_centre_extension(make_qas(n, ell).algebra(), ell)
@@ -132,7 +143,8 @@ CASES = (
     Case("cli qas-verify --n 3 --ell 5", 3, command("qas-verify", "--n", "3", "--ell", "5")),
     *(Case(f"verify_frobenius rank {ell**n}", 3, verify(n, ell))
       for n, ell in ((2, 13), (3, 7), (4, 5), (2, 31))),
-    *(Case(f"nakayama_on_generators rank {ell**n}", 3, nakayama(n, ell))
+    Case("ell_centre_extension rank 169", 5, extension(13)),
+    *(Case(f"nakayama_on_generators rank {ell**n}", 7, nakayama(n, ell))
       for n, ell in ((4, 3), (3, 5), (2, 13))),
     *(Case(f"reduce_at_point rank {ell**2}", 3, reduce(ell)) for ell in (13, 31)),
     *(Case(f"det_is_unit rank {ell**2}", 3, determinant(ell)) for ell in (13, 31)),

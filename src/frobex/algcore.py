@@ -181,8 +181,8 @@ class Element:
         """Wrap terms as they are, without reducing or copying them.
 
         Only for a fresh dict that nothing else holds, whose values all lie
-        in [1, p): it becomes the element's own terms.  Its one caller is
-        the Gram build, which wraps each monomial x^t it hands to the form.
+        in [1, p): it becomes the element's own terms, as in ``multiply``
+        and in the form inputs of the Gram build and the Nakayama solve.
         """
         el = object.__new__(cls)
         _set_field(el, fld)
@@ -347,19 +347,24 @@ def check_commutation_matrix(C) -> None:
                 raise DomainError("commutation matrix is not antisymmetric")
 
 
+def mul_terms(A: BasedAlgebra, a: dict, b: dict) -> dict:
+    """The product kernel: the oracle's dicts for all pairs of terms of
+    a and b (any ints), scaled and summed, reduced into a fresh dict."""
+    mul, p = A.mul_indices, A.field.p
+    acc: dict = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            scale = ca * cb
+            for idx, c in mul(ia, ib).items():
+                acc[idx] = acc.get(idx, 0) + scale * c
+    return {idx: c for idx, v in acc.items() if (c := v % p)}
+
+
 def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:
-    """Bilinear extension of the index oracle to sparse elements: the
-    oracle's term dicts, scaled and summed."""
+    """Bilinear extension of the index oracle to sparse elements."""
     if a.field != A.field or b.field != A.field:
         raise DomainError("elements do not live over the algebra's field")
-    acc: dict = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            prod = A.mul_indices(ia, ib)
-            scale = ca * cb
-            for idx, c in prod.items():
-                acc[idx] = acc.get(idx, 0) + scale * c
-    return Element(A.field, acc)
+    return Element.reduced(A.field, mul_terms(A, a.terms, b.terms))
 
 
 def filtered_degree(A: BasedAlgebra, a: Element) -> GroupElement:

@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .algcore import BasedAlgebra, Element, filtered_degree, gr_of, multiply
+from .algcore import BasedAlgebra, Element, filtered_degree, gr_of, mul_terms
 from .errors import (
     AlgebraDefinitionError,
     DomainError,
@@ -126,10 +126,11 @@ def fp_inverse(rows: list[list[int]], p: int) -> Optional[list[list[int]]]:
 
 def reassemble(algebra: BasedAlgebra, slots: dict) -> Element:
     """sum over r of z_r * b_r for a decomposition {r: z_r}."""
-    total = algebra.zero()
+    total: dict = {}
     for r, z in slots.items():
-        total = total + multiply(algebra, z, algebra.monomial(r))
-    return total
+        for idx, c in mul_terms(algebra, z.terms, {r: 1}).items():
+            total[idx] = total.get(idx, 0) + c
+    return Element(algebra.field, total)
 
 
 class ProjectionForm:
@@ -252,19 +253,16 @@ class CentralFreeExtension:
         decomposition exact on the distinguished basis."""
         A = self.ambient
         gens = self.engine.subring_generators
+        # oracle dicts are reduced: equal products are equal dicts
         for s in gens:
             for g in A.generator_indices:
-                left = multiply(A, A.monomial(s), A.monomial(g))
-                right = multiply(A, A.monomial(g), A.monomial(s))
-                if left != right:
+                if A.mul_indices(s, g) != A.mul_indices(g, s):
                     raise UnsupportedStructure(
                         f"subring generator {s} is not central in {A.name}"
                     )
         for i, s in enumerate(gens):
             for t in gens[i + 1:]:
-                if multiply(A, A.monomial(s), A.monomial(t)) != multiply(
-                    A, A.monomial(t), A.monomial(s)
-                ):
+                if A.mul_indices(s, t) != A.mul_indices(t, s):
                     raise UnsupportedStructure("subring is not commutative")
         for b in self.basis:
             mono = A.monomial(b)
@@ -610,8 +608,8 @@ def nakayama_on_generators(
     determinant test made: M^-1 is M's blocks inverted over F_p, a 1x1
     block being a pivot inverted.  The whole-basis identity check below
     guards the solution.  It is then revalidated on NAKAYAMA_CHECKS random
-    pairs, extending nu multiplicatively through one table of generator
-    powers nu(x_k)^e built for this solve.
+    pairs through an ``_extension`` of nu.  It runs on term dicts through
+    ``mul_terms``; only the form's inputs are elements.
     """
     if certificate is None:
         certificate = verify_frobenius(E)
@@ -620,107 +618,98 @@ def nakayama_on_generators(
     rng = rng or random.Random(0)
     A = E.ambient
     basis = E.basis
-    n = len(basis)
     # the determinant test's scan of this Gram system, read, not redone
     structure = certificate.gram_status.structure
     if not structure.scalar:
         raise UnsupportedStructure("Nakayama solve needs a scalar Gram matrix")
-    M, one, p = E.gram(), A.one, A.field.p
-    # weights[j] = {i: W[j][i]}, the nonzero entries of row j of W = M^-1;
-    # a frobenius verdict makes every block square and invertible
-    weights: dict = {}
+    M, one, fld, p = E.gram(), A.one, A.field, A.field.p
+    # columns[j] = sum over i of W[j][i] * b_i for W = M^-1; a frobenius
+    # verdict makes every block square and invertible
+    columns: dict = {}
     for rows, cols in structure.blocks:
         inv = fp_inverse([[M[i][j].terms[one] if j in M[i] else 0 for j in cols] for i in rows], p)
         for j, row in zip(cols, inv):
-            weights[j] = {i: w for i, w in zip(rows, row) if w}
+            columns[j] = {basis[i]: w for i, w in zip(rows, row) if w}
 
-    def solve(rhs: list[Element]) -> Element:
-        """sum over i of (sum over j of W[j][i] * rhs[j]) * b_i."""
-        coeffs: dict = {}
-        for j in range(n):
-            if not rhs[j].is_zero():
-                for i, w in weights[j].items():
-                    coeffs[i] = coeffs.get(i, A.zero()) + w * rhs[j]
-        total = A.zero()
-        for i, coeff in sorted(coeffs.items()):
-            if not coeff.is_zero():
-                total = total + multiply(A, coeff, A.monomial(basis[i]))
-        return total
+    def phi(terms: dict) -> Element:  # fresh, reduced terms
+        return E.form(Element.reduced(fld, terms))
 
-    images_by_index = {}
-    images = {}
+    images_by_index, images = {}, {}
     for g_idx, g_name in zip(A.generator_indices, A.generator_names):
-        mg = A.monomial(g_idx)
-        rhs = [E.form(multiply(A, A.monomial(c), mg)) for c in basis]
-        nu_g = solve(rhs)
+        rhs = [phi(A.mul_indices(c, g_idx)) for c in basis]
+        # nu(g) = sum over j of Phi(b_j * g) * columns[j], S being central
+        acc: dict = {}
+        for j, v in enumerate(rhs):
+            for idx, c in mul_terms(A, v.terms, columns[j]).items() if v else ():
+                acc[idx] = acc.get(idx, 0) + c
+        nu_g = {idx: c for idx, v in acc.items() if (c := v % p)}
         # defining identity on the whole basis, not only where we solved
         for c, lhs in zip(basis, rhs):
-            if lhs != E.form(multiply(A, nu_g, A.monomial(c))):
+            if lhs != phi(mul_terms(A, nu_g, {c: 1})):
                 raise AlgebraDefinitionError(
                     f"Nakayama solve inconsistent at generator {g_name}, basis {c}"
                 )
-        images_by_index[g_idx] = nu_g
-        images[g_name] = nu_g
+        images_by_index[g_idx] = images[g_name] = Element.reduced(fld, nu_g)
 
-    trivial = all(
-        images_by_index[g] == A.monomial(g) for g in A.generator_indices
-    )
-    nu = automorphism(A, images_by_index)  # one power table for every pair
+    trivial = all(images_by_index[g] == A.monomial(g) for g in A.generator_indices)
+    nu = _extension(A, {g: img.terms for g, img in images_by_index.items()})
     for _ in range(NAKAYAMA_CHECKS):
-        q = random_element(E, rng)
-        r = random_element(E, rng)
-        nu_r = nu(r)
-        lhs = E.form(multiply(A, q, r))
-        rhs_val = E.form(multiply(A, nu_r, q))
-        if lhs != rhs_val:
+        q = _random_terms(E, rng)
+        r = _random_terms(E, rng)
+        if phi(mul_terms(A, q, r)) != phi(mul_terms(A, nu(r), q)):
             raise AlgebraDefinitionError(
                 f"Nakayama identity fails on a random pair in {E.name}"
             )
     return NakayamaResult(images, images_by_index, trivial, NAKAYAMA_CHECKS)
 
 
-def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], Element]:
-    """Extend generator images multiplicatively to sparse elements.
-
-    Basis indices are exponent tuples in generator order, so the monomial
-    for an index is the ordered product of generator powers.  The returned
-    map owns its table of generator powers nu(x_k)^e: each power is
-    multiplied out once, however many elements the map is applied to.
+def _extension(A: BasedAlgebra, images: dict) -> Callable[[dict], dict]:
+    """Extend generator images {index: terms} multiplicatively to term
+    dicts, leaving values unreduced.  Indices are exponent tuples, so x^a
+    is the ordered product of generator powers.  The map owns its tables
+    of nu(x_k)^e and nu(x^a), each entry multiplied out once.
     """
-    powers: dict = {}
+    powers: dict = {}  # (k, e) -> nu(x_k)^e, e >= 1
+    monomials: dict = {}
 
-    def gen_power(k: int, e: int) -> Element:  # e >= 1
+    def power(k: int, e: int) -> dict:
         key = (k, e)
         if key not in powers:
-            image = images_by_index[A.generator_indices[k]]
-            powers[key] = image if e == 1 else multiply(A, gen_power(k, e - 1), image)
+            image = images[A.generator_indices[k]]
+            powers[key] = image if e == 1 else mul_terms(A, power(k, e - 1), image)
         return powers[key]
 
-    def apply(el: Element) -> Element:
-        total = A.zero()
-        for idx, c in el.terms.items():
-            if not all(isinstance(e, int) for e in idx):
-                raise UnsupportedStructure(
-                    "automorphism extension needs plain exponent-tuple indices"
-                )
-            img = None
-            for k, e in enumerate(idx):
-                if e:
-                    img = gen_power(k, e) if img is None else multiply(A, img, gen_power(k, e))
-            total = total + c * (img if img is not None else A.one_element())
-        return total
+    def apply(terms: dict) -> dict:
+        out: dict = {}
+        for a, c in terms.items():
+            img = monomials.get(a)
+            if img is None:
+                if not all(isinstance(e, int) for e in a):
+                    raise UnsupportedStructure(
+                        "automorphism extension needs plain exponent-tuple indices"
+                    )
+                for k, e in enumerate(a):
+                    if e:
+                        img = power(k, e) if img is None else mul_terms(A, img, power(k, e))
+                img = monomials[a] = {A.one: 1} if img is None else img
+            for t, v in img.items():
+                out[t] = out.get(t, 0) + c * v
+        return out
 
     return apply
 
 
-def random_element(E: CentralFreeExtension, rng: random.Random) -> Element:
+def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], Element]:
+    """Extend generator images {index: Element} multiplicatively to
+    elements, through ``_extension``."""
+    apply = _extension(A, {g: img.terms for g, img in images_by_index.items()})
+    return lambda el: Element(A.field, apply(el.terms))
+
+
+def _random_terms(E: CentralFreeExtension, rng: random.Random) -> dict:
     """One or two random terms with random nonzero coefficients."""
-    A = E.ambient
-    terms = {}
-    for _ in range(rng.randrange(1, 3)):
-        idx = E.engine.random_index(rng)
-        terms[idx] = rng.randrange(1, A.field.p)
-    return Element(A.field, terms)
+    p, draw = E.ambient.field.p, E.engine.random_index
+    return {draw(rng): rng.randrange(1, p) for _ in range(rng.randrange(1, 3))}
 
 
 # ---------------------------------------------------------------------------

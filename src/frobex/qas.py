@@ -40,6 +40,7 @@ class QuantumAffineSpace:
             f"x{i + 1}" for i in range(self.n)
         )
         self._validate()
+        self._degree_columns = tuple(zip(*(d.coords for d in self.degrees)))
         self._algebra = self._build_algebra()
 
     def _validate(self):
@@ -66,11 +67,7 @@ class QuantumAffineSpace:
         return len(self.degrees[0])
 
     def monomial_degree(self, exps) -> GroupElement:
-        g = GroupElement.zero(self.degree_dim)
-        for e, d in zip(exps, self.degrees):
-            if e:
-                g = g + e * d
-        return g
+        return GroupElement(sum(map(mul, exps, column)) for column in self._degree_columns)
 
     def _build_algebra(self) -> BasedAlgebra:
         fld, ell = self.field, self.field.ell
@@ -200,7 +197,10 @@ class RestrictedBasisEngine:
         return [position[tuple((r - e) % ell for r, e in zip(slot, b))] for b in self.basis]
 
     def random_index(self, rng) -> tuple:
-        return tuple(rng.randrange(0, 2 * self.ell) for _ in range(self.width))
+        """A uniform index in [0, 2 ell)^n: one draw, read in base 2 ell."""
+        base = 2 * self.ell
+        k = rng.randrange(base**self.width)
+        return tuple(k // base**i % base for i in range(self.width))
 
 
 def standard_cmatrix(n: int) -> tuple[tuple[int, ...], ...]:

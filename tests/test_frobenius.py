@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import frobex.frobenius as frobenius
 from frobex.algcore import Element, filtered_degree, gr_of, multiply
-from frobex.errors import DomainError, HomogeneityError, UnsupportedStructure
+from frobex.errors import (
+    AlgebraDefinitionError,
+    DomainError,
+    HomogeneityError,
+    UnsupportedStructure,
+)
 from frobex.frobenius import (
     CentralFreeExtension,
     ProjectionForm,
@@ -330,6 +335,21 @@ def test_verify_trivial_extension():
     assert cert.symmetry_d == GroupElement((0,))
 
 
+def test_validate_refuses_a_non_central_subring_and_a_broken_round_trip():
+    # at ell 4, x1^2 * x2 = zeta^2 * x2 * x1^2 with zeta^2 = -1
+    with pytest.raises(UnsupportedStructure, match=r"subring generator \(2, 0\) is not central"):
+        ell_centre_extension(make_qas(2, 4).algebra(), 2)
+    ext = ell_centre_extension(make_qas(2, 3).algebra(), 3)
+
+    class Doubling(RestrictedBasisEngine):
+        def decompose(self, y):
+            return {r: 2 * z for r, z in super().decompose(y).items()}
+
+    bad = CentralFreeExtension(ext.ambient, Doubling(ext.ambient, 3), ext.form)
+    with pytest.raises(AlgebraDefinitionError, match=r"round trip fails on basis index \(0, 0\)"):
+        bad.validate()
+
+
 def test_sabotaged_slot_zero_form_is_refuted():
     ell, n = 3, 2
     A = make_qas(n, ell, 7)
@@ -484,22 +504,71 @@ def test_nakayama_fixes_central_generators():
         assert nu(alg.monomial(s)) == alg.monomial(s)
 
 
-def test_nakayama_multiplies_out_generator_powers_once(monkeypatch):
-    # the 200 random-pair checks share one table of nu(x_k)^e (878 calls);
-    # remaking it for every pair took 4,186
-    A = make_qas(2, 7)
-    ext = ell_centre_extension(A.algebra(), 7)
-    cert = verify_frobenius(ext)
+def test_nakayama_multiplies_out_generator_powers_once():
+    # one solve makes 1,607 oracle products on the term-dict kernel, the
+    # generator powers and monomial images each multiplied out once per
+    # solve; the Element solve made 1,690 on its own pairs
+    base = make_qas(2, 7).algebra()
     calls = Counter()
 
-    def counting(*args):
-        calls["multiply"] += 1
-        return multiply(*args)
+    def counting(i, j):
+        calls["products"] += 1
+        return base.mul_indices(i, j)
 
-    monkeypatch.setattr(frobenius, "multiply", counting)
+    ext = ell_centre_extension(replace(base, mul_indices=counting), 7)
+    cert = verify_frobenius(ext)
+    calls.clear()
     nak = nakayama_on_generators(ext, cert, rng=random.Random(0))
     assert nak.checked_pairs == 200
-    assert calls["multiply"] <= 1500
+    assert calls["products"] == 1607 < 1690
+
+
+def test_nakayama_revalidates_on_400_random_elements(monkeypatch):
+    ext = ell_centre_extension(make_qas(2, 7).algebra(), 7)
+    draw, drawn = frobenius._random_terms, []
+
+    def counting(E, rng):
+        drawn.append(draw(E, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(frobenius, "_random_terms", counting)
+    nakayama_on_generators(ext, rng=random.Random(0))
+    assert len(drawn) == 2 * frobenius.NAKAYAMA_CHECKS == 400
+    p = ext.ambient.field.p
+    assert all(1 <= len(t) <= 2 and all(0 < c < p for c in t.values()) for t in drawn)
+
+
+def test_nakayama_random_pairs_catch_a_wrong_multiplicative_extension(monkeypatch):
+    # nu is right on every generator, so the whole-basis identity check
+    # passes; an extension that drops the scalar of nu(x^a) whenever an
+    # exponent is >= 2 is wrong off the generators, and only the random
+    # pairs see it
+    ext = ell_centre_extension(make_qas(2, 7).algebra(), 7)
+    extension = frobenius._extension
+
+    def scalar_dropping(A, images):
+        nu = extension(A, images)
+
+        def apply(terms):
+            out = {}
+            for a, c in terms.items():
+                for t, v in nu({a: 1}).items():
+                    out[t] = out.get(t, 0) + c * (1 if max(a) >= 2 else v)
+            return out
+
+        return apply
+
+    monkeypatch.setattr(frobenius, "_extension", scalar_dropping)
+    with pytest.raises(AlgebraDefinitionError, match="on a random pair in"):
+        nakayama_on_generators(ext, rng=random.Random(0))
+
+
+def test_automorphism_refuses_indices_that_are_not_exponent_tuples():
+    alg = make_qas(2, 3).algebra()
+    nu = automorphism(alg, {g: alg.monomial(g) for g in alg.generator_indices})
+    assert nu(alg.monomial((2, 1), 3)) == alg.monomial((2, 1), 3)
+    with pytest.raises(UnsupportedStructure, match="exponent-tuple"):
+        nu(alg.monomial(((0, 1), 2)))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])

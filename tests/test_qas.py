@@ -132,6 +132,34 @@ def test_twist_tables_belong_to_one_algebra():
     assert any(first(a, b) != second(a, b) for a, b in pairs)
 
 
+def test_random_index_draws_the_whole_box_uniformly():
+    # one randrange below 6^2, read in base 6: every index in [0, 6)^2
+    engine = ell_centre_extension(make_qas(2, 3).algebra(), 3).engine
+    rng = random.Random(0)
+    draws = [engine.random_index(rng) for _ in range(5000)]
+    assert all(len(idx) == 2 and all(0 <= e < 6 for e in idx) for idx in draws)
+    assert len(set(draws)) == 36
+
+
+def test_monomial_degree_is_the_fold_of_generator_degrees():
+    # the sum of e_i * deg x_i, as the fold from zero over the nonzero
+    # exponents computed it, for degrees in Z^m with zero coordinates
+    rng = random.Random(5)
+    for n, m in ((1, 1), (2, 3), (3, 2), (4, 1)):
+        degrees = tuple(GroupElement(rng.randrange(0, 4) for _ in range(m)) for _ in range(n))
+        if all(d.is_zero() for d in degrees):
+            degrees = (GroupElement((1,) * m),) + degrees[1:]
+        Q = QuantumAffineSpace(RootField(7, 3), standard_cmatrix(n), degrees)
+        for _ in range(50):
+            exps = tuple(rng.choice((0, 0, 1, rng.randrange(0, 9))) for _ in range(n))
+            fold = GroupElement.zero(m)
+            for e, d in zip(exps, degrees):
+                if e:
+                    fold = fold + e * d
+            assert Q.monomial_degree(exps) == fold
+            assert Q.algebra().degree_of(exps) == fold
+
+
 def test_restricted_decompose_monomial_slots():
     ell = 3
     A = make_qas(2, ell, 7)
