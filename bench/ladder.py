@@ -36,17 +36,21 @@ if importlib.util.find_spec("frobex") is None:
 
 import frobex  # noqa: E402
 from frobex import cli  # noqa: E402
+from frobex.algcore import gr_of  # noqa: E402
 from frobex.frobenius import (  # noqa: E402
     ProjectionForm,
+    check_same_products,
     det_is_unit,
     ell_centre_extension,
     gram_matrix,
     nakayama_on_generators,
+    product_window,
     reduce_at_point,
     verify_frobenius,
 )
 from frobex.grassmannian import degree_census  # noqa: E402
-from frobex.qas import make_qas, quantum_weyl  # noqa: E402
+from frobex.qas import make_qas, quantum_plane_of_weyl, quantum_weyl  # noqa: E402
+from frobex.rees import check_reduction_tables, cone_reduction, rees_of  # noqa: E402
 
 
 class Case(NamedTuple):
@@ -135,6 +139,57 @@ def qweyl_slot_determinants(ell: int):
     return prepare
 
 
+def weyl_window(ell: int):
+    """A fresh q-Weyl algebra at ell and the indices of its product window."""
+    W = quantum_weyl(ell)
+    return W, list(W.enumerate_up_to(product_window(ell_centre_extension(W, ell))))
+
+
+def same_products(ell: int):
+    """check_same_products of gr(q-Weyl) against the quantum plane over the
+    product window at ell, as ``lift_form`` runs it; the algebras are
+    fresh and the window is listed before the clock starts."""
+
+    def prepare():
+        W, indices = weyl_window(ell)
+        plane = quantum_plane_of_weyl(W).algebra()
+        return lambda: check_same_products(gr_of(W), plane, indices)
+
+    return prepare
+
+
+def reduction_tables(ell: int, window: int):
+    """check_reduction_tables with the reductions at 0 and 1 on the Rees
+    algebra of a fresh q-Weyl algebra at ell."""
+
+    def prepare():
+        RA = rees_of(quantum_weyl(ell), window)
+        reductions = (cone_reduction(RA, 0), cone_reduction(RA, 1))
+        return lambda: check_reduction_tables(RA, reductions)
+
+    return prepare
+
+
+def weyl_products(ell: int):
+    """The q-Weyl product on every ordered pair of the product window at
+    ell; every pair is multiplied once before the clock starts, so the
+    cached expansions are in place and the run times the products alone."""
+
+    def prepare():
+        W, indices = weyl_window(ell)
+        mul = W.mul_indices
+
+        def run():
+            for i in indices:
+                for j in indices:
+                    mul(i, j)
+
+        run()
+        return run
+
+    return prepare
+
+
 def census():
     return lambda: [degree_census(ell) for ell in range(2, 21)]
 
@@ -155,6 +210,9 @@ CASES = (
     Case("cli rees-demo --ell 7", 1, command("rees-demo", "--ell", "7")),
     *(Case(f"det_is_unit every q-Weyl slot ell {ell}", 3, qweyl_slot_determinants(ell))
       for ell in (5, 6, 7)),
+    Case("check_same_products ell 5", 3, same_products(5)),
+    Case("check_reduction_tables ell 4 window 12", 3, reduction_tables(4, 12)),
+    Case("q-Weyl product window ell 4", 5, weyl_products(4)),
     Case("degree_census ell 2..20", 5, census),
 )
 

@@ -393,7 +393,11 @@ def gr_of(A: BasedAlgebra) -> BasedAlgebra:
     def mul(i, j):
         # compared as coordinates, so no GroupElement is made per product
         target = tuple(map(add, degree_of(i).coords, degree_of(j).coords))
-        return {t: c for t, c in A.mul_indices(i, j).items() if degree_of(t).coords == target}
+        out = {}
+        for t, c in A.mul_indices(i, j).items():
+            if degree_of(t).coords == target:
+                out[t] = c
+        return out
 
     return replace(A, mode="graded", mul_indices=mul, name=f"gr({A.name})")
 

@@ -242,15 +242,17 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
     relation by induction and is cross-checked against a word-rewriting
     oracle in the tests.
 
-    The normal-ordered expansion of x^b * y^a and the degree of each index
-    are memoized in dicts owned by this one algebra object, so a product
-    only shifts cached terms; nothing is shared between algebras.
+    The normal-ordered expansion of x^b * y^a, as a tuple of (a', b', coeff)
+    term triples, and the degree of each index are memoized in dicts owned
+    by this one algebra object, filled as products ask for them; nothing is
+    shared between algebras.  A product shifts the cached triples into its
+    fresh dict in one plain loop.
     """
     if ell < 2:
         raise DomainError("the q-Weyl fixture needs ell >= 2")
     fld = RootField(p if p is not None else default_prime(ell), ell, seed=seed)
     qint_cache: dict = {}
-    expansions: dict = {}  # b -> [terms of x^b * y^a for a = 0, 1, ...]
+    expansions: dict = {}  # b -> [(a', b', coeff) triples of x^b * y^a for a = 0, 1, ...]
     degrees: dict = {}  # index -> GroupElement of its total degree
 
     def qint(k: int) -> int:
@@ -258,9 +260,9 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
             qint_cache[k] = fld.qint(k)
         return qint_cache[k]
 
-    def rmul_y(terms: dict) -> dict:
+    def rmul_y(terms: tuple) -> tuple:
         out: dict = {}
-        for (a, b), c in terms.items():
+        for a, b, c in terms:
             # (y^a x^b) * y = q^b y^(a+1) x^b + [b]_q y^a x^(b-1)
             top = c * fld.zeta_pow(b) % fld.p
             out[(a + 1, b)] = (out.get((a + 1, b), 0) + top) % fld.p
@@ -269,13 +271,13 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
                 out[(a, b - 1)] = (out.get((a, b - 1), 0) + low) % fld.p
         # [ell]_q = 0 and cancelling terms leave zeros; products hand out
         # these entries' coefficients as they are, so they must hold none
-        return {idx: c for idx, c in out.items() if c}
+        return tuple((a, b, c) for (a, b), c in out.items() if c)
 
-    def expand(b, a) -> dict:
+    def expand(b, a) -> tuple:
         """Normal-ordered x^b * y^a, extending the cached chain for b."""
         chain = expansions.get(b)
         if chain is None:
-            chain = expansions[b] = [{(0, b): 1}]
+            chain = expansions[b] = [((0, b, 1),)]
         while len(chain) <= a:
             chain.append(rmul_y(chain[-1]))
         return chain[a]
@@ -284,7 +286,11 @@ def quantum_weyl(ell: int, p: Optional[int] = None, seed: int = 0) -> BasedAlgeb
         (a1, b1), (a2, b2) = i, j
         chain = expansions.get(b1)
         terms = chain[a2] if chain is not None and a2 < len(chain) else expand(b1, a2)
-        return {(a1 + a, b + b2): c for (a, b), c in terms.items()}
+        # a plain loop: on Python 3.11 a comprehension costs a function frame
+        out = {}
+        for a, b, c in terms:
+            out[(a1 + a, b + b2)] = c
+        return out
 
     def degree_of(idx) -> GroupElement:
         g = degrees.get(idx)

@@ -61,7 +61,10 @@ def rees_of(A: BasedAlgebra, window: int) -> ReesAlgebra:
     def mul(i, j):
         (b, g), (c, h) = i, j
         gh = g + h
-        return {(t, gh): coeff for t, coeff in A.mul_indices(b, c).items()}
+        out = {}
+        for t, coeff in A.mul_indices(b, c).items():
+            out[(t, gh)] = coeff
+        return out
 
     def index_str(idx):
         b, g = idx
@@ -164,8 +167,8 @@ def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
             if not live:
                 return result
             prod = RAlg.mul_indices(u, v)
-            for entry in tuple(live):
-                k, red, image = entry
+            failed = False
+            for k, red, image in live:
                 # a reduction keeps the base index and a product's terms share
                 # one cone degree, so the images of distinct terms are distinct
                 got = {}
@@ -179,12 +182,16 @@ def check_reduction_tables(RA: ReesAlgebra, reductions) -> list:
                 if iu is None or iv is None:
                     ok = not got
                 else:
-                    scale = iu[1] * iv[1]
+                    # the oracle's coefficients lie in [1, p), so at scale 1
+                    # (m0 and m1 on every pair) want is compared as it is
+                    scale = iu[1] * iv[1] % p
                     want = red.target.mul_indices(iu[0], iv[0])
-                    ok = got == {t: c * scale % p for t, c in want.items()}
+                    ok = got == (want if scale == 1 else {t: c * scale % p for t, c in want.items()})
                 if not ok:
                     result[k] = f"cone reduction at {red.scalar} is not multiplicative at {u}, {v}"
-                    live.remove(entry)
+                    failed = True
+            if failed:
+                live = [entry for entry in live if result[entry[0]] is None]
     return result
 
 
@@ -249,10 +256,6 @@ class ReesEngine:
     def partners(self, slot) -> None:
         """No grading is proved on Rees algebras: every Gram build is full."""
         return None
-
-    def random_index(self, rng) -> tuple:
-        b = self.base_engine.random_index(rng)
-        return (b, _degree(self.rees.base, b) + rng.randrange(0, 2))
 
 
 def rees_extension(

@@ -214,6 +214,19 @@ def qweyl_gram_oracle(fld: RootField, ell, weights):
     return rows
 
 
+def rees_window_pair_counts(window):
+    """(pairs, top pairs) of admissible Rees indices of the q-Weyl algebra
+    with cone degrees adding up to at most the window.
+
+    A base index y^a x^b is admissible at cone degree g when a + b <= g:
+    (g + 1)(g + 2) / 2 of them, g + 1 with a + b = g (the top symbols).
+    """
+    n = [(g + 1) * (g + 2) // 2 for g in range(window + 1)]
+    top = [g + 1 for g in range(window + 1)]
+    pairs = [(g, h) for g in range(window + 1) for h in range(window + 1 - g)]
+    return sum(n[g] * n[h] for g, h in pairs), sum(top[g] * top[h] for g, h in pairs)
+
+
 def qweyl_product_oracle(fld: RootField, i, j) -> Element:
     """Product of normal-ordered q-Weyl monomials via word rewriting."""
     (a1, b1), (a2, b2) = i, j

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import rees_window_pair_counts
+
 BENCH = Path(__file__).resolve().parent.parent / "verdictbench"
 
 
@@ -89,7 +91,9 @@ def test_traced_rees_window_job_reaches_the_oracle_spans(tmp_path, monkeypatch):
     layers = recorder.layer_metrics()
     assert layers["calls"].get("qas.qweyl_mul", 0) > 0
     assert layers["calls"].get("rees.mul", 0) > 0
-    assert layers["checked_pairs"] > 0
+    # rees-demo --ell 3 checks the default window 3 * 2(ell - 1) = 12
+    assert "--window" not in job.argv
+    assert layers["checked_pairs"] == rees_window_pair_counts(12)[0]
 
 
 def test_traced_qas_ladder_job_reaches_the_gram_span(monkeypatch):

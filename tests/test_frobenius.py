@@ -592,6 +592,39 @@ def test_nakayama_inverts_scalar_gram_blocks_on_the_filtered_qweyl_algebra(ell):
         assert nak.images == {"y": W.monomial((1, 0), 4), "x": W.monomial((0, 1), 2)}
 
 
+class SwappedBasis(RestrictedBasisEngine):
+    """The engine with two basis indices listed in each other's place."""
+
+    def __init__(self, algebra, ell, u, v):
+        super().__init__(algebra, ell)
+        self.basis = tuple({u: v, v: u}.get(b, b) for b in self.basis)
+
+
+def test_nakayama_inverts_non_symmetric_gram_blocks():
+    # listing y and y^2 x in each other's place permutes the columns of a
+    # 2x2 block of the lifted top-slot Gram matrix at ell 3, but not its
+    # rows, so the block is no longer symmetric; nu does not depend on the
+    # order of the basis, and a transposed inverse would miss it
+    ell = 3
+    W = quantum_weyl(ell)
+    graded = ell_centre_extension(quantum_plane_of_weyl(W).algebra(), ell)
+    E = ell_centre_extension(W, ell)
+    slot = lift_form(E, graded).slot
+    engine = SwappedBasis(W, ell, (1, 0), (2, 1))
+    swapped = CentralFreeExtension(W, engine, ProjectionForm(engine, slot))
+    swapped.validate()
+    cert = verify_frobenius(swapped)
+    assert cert.gram_status.method == "scalar-determinant"
+    M = swapped.gram()
+    blocks = [
+        [[M[i][j].terms[W.one] if j in M[i] else 0 for j in cols] for i in rows]
+        for rows, cols in cert.gram_status.structure.blocks
+    ]
+    assert [[4, 0], [4, 4]] in blocks
+    nak = nakayama_on_generators(swapped, cert, rng=random.Random(0))
+    assert nak.images == {"y": W.monomial((1, 0), 4), "x": W.monomial((0, 1), 2)}
+
+
 def test_nakayama_requires_frobenius_verdict():
     ell, n = 3, 2
     A = make_qas(n, ell, 7)

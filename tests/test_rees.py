@@ -5,9 +5,16 @@ from dataclasses import replace
 
 import pytest
 
+from frobex import cli
 from frobex.algcore import Element, gr_of, multiply
 from frobex.errors import DomainError, UnsupportedStructure
-from frobex.frobenius import ProjectionForm, ell_centre_extension, reassemble, verify_frobenius
+from frobex.frobenius import (
+    ProjectionForm,
+    ell_centre_extension,
+    nakayama_on_generators,
+    reassemble,
+    verify_frobenius,
+)
 from frobex.grpdeg import GroupElement
 from frobex.qas import quantum_weyl
 from frobex.rees import (
@@ -19,7 +26,7 @@ from frobex.rees import (
     rees_extension,
     rees_of,
 )
-from oracles import dense_rows
+from oracles import dense_rows, rees_window_pair_counts
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +173,65 @@ def test_reduction_tables_make_every_target_product_afresh(weyl3):
     assert calls1 == [(u[0], v[0]) for u, v in in_window]
     top = [(u[0], v[0]) for u, v in in_window if u[1] == sum(u[0]) and v[1] == sum(v[0])]
     assert calls0 == top
+
+
+@pytest.mark.parametrize("argv", [["--ell", "3"], ["--ell", "4", "--window", "12"]])
+def test_rees_demo_checks_every_in_window_pair_once(argv, tmp_path, monkeypatch):
+    # both jobs check the window 12 (the default 3 * 2(ell - 1) at ell 3):
+    # one Rees product per in-window pair, m1 one target product per pair
+    # and m0 one per pair of top symbols; the counts come from the
+    # admissible indices per cone degree, not from the program
+    made = {}
+    check = cli.check_reduction_tables
+
+    def counting(RA, reductions):
+        algebra, made["rees"] = counted(RA.algebra)
+        RA = replace(RA, algebra=algebra)
+        counted_reductions = []
+        for red in reductions:
+            target, made[red.scalar] = counted(red.target)
+            counted_reductions.append(replace(red, rees=RA, target=target))
+        return check(RA, counted_reductions)
+
+    monkeypatch.setattr(cli, "check_reduction_tables", counting)
+    out = tmp_path / "report.txt"
+    assert cli.main(["rees-demo", *argv, "--out", str(out)]) == 0
+    assert "m0_table: match" in out.read_text() and "m1_table: match" in out.read_text()
+    pairs, top_pairs = rees_window_pair_counts(12)
+    assert (pairs, top_pairs) == (18564, 1820)
+    assert len(made["rees"]) == len(made[1]) == pairs
+    assert len(made[0]) == top_pairs
+
+
+def test_nakayama_solve_refuses_the_rees_demo_extension():
+    # the Rees Gram matrix is not scalar (its determinant test is exact),
+    # so the solve stops before it would draw a random Rees index
+    _, rext = rees_extension(ell_centre_extension(quantum_weyl(3), 3))
+    cert = verify_frobenius(rext)
+    assert cert.verdict == "frobenius"
+    assert cert.gram_status.method == "exact-determinant"
+    with pytest.raises(UnsupportedStructure, match="scalar Gram matrix"):
+        nakayama_on_generators(rext, cert)
+
+
+class MisScaled(ConeReduction):
+    """The reduction at 1 with the image of one Rees index doubled."""
+
+    def map_term(self, idx):
+        t, c = super().map_term(idx)
+        return (t, 2 * c) if idx == ((1, 1), 3) else (t, c)
+
+
+def test_a_wrong_index_map_fails_at_its_first_pair(weyl3):
+    # the first failing pair comes from products of mapped elements,
+    # made through multiply
+    window = 7
+    RA = rees_of(weyl3, window)
+    m0, _ = canonical(RA)
+    wrong = MisScaled(rees=RA, scalar=1, target=weyl3)
+    failing = failing_pairs(RA, wrong, window)
+    assert failing[0] == (((0, 0), 1), ((1, 1), 2))
+    assert check_reduction_tables(RA, (m0, wrong)) == [None, not_multiplicative_at(failing[0])]
 
 
 def broken_target(target, bad):
