@@ -196,13 +196,14 @@ def census():
 
 CASES = (
     Case("cli qas-verify --n 3 --ell 5", 3, command("qas-verify", "--n", "3", "--ell", "5")),
+    Case("cli nakayama --n 3 --ell 5", 7, command("nakayama", "--n", "3", "--ell", "5")),
     *(Case(f"verify_frobenius rank {ell**n}", 3, verify(n, ell))
       for n, ell in ((2, 13), (3, 7), (4, 5), (2, 31))),
     Case("ell_centre_extension rank 169", 5, extension(13)),
     *(Case(f"nakayama_on_generators rank {ell**n}", 7, nakayama(n, ell))
       for n, ell in ((4, 3), (3, 5), (2, 13))),
-    *(Case(f"reduce_at_point rank {ell**2}", 3, reduce(ell)) for ell in (13, 31)),
-    *(Case(f"det_is_unit rank {ell**2}", 3, determinant(ell)) for ell in (13, 31)),
+    *(Case(f"reduce_at_point rank {ell**2}", 7, reduce(ell)) for ell in (13, 31)),
+    *(Case(f"det_is_unit rank {ell**2}", 7, determinant(ell)) for ell in (13, 31)),
     Case("cli qweyl-transfer --ell 5", 3, command("qweyl-transfer", "--ell", "5")),
     Case("cli rees-demo --ell 4 --window 12", 3,
          command("rees-demo", "--ell", "4", "--window", "12")),

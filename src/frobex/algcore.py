@@ -19,6 +19,7 @@ import configparser
 import io
 import random
 from dataclasses import dataclass, field, replace
+from itertools import product
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -348,16 +349,27 @@ def check_commutation_matrix(C) -> None:
 
 
 def mul_terms(A: BasedAlgebra, a: dict, b: dict) -> dict:
-    """The product kernel: the oracle's dicts for all pairs of terms of
-    a and b (any ints), scaled and summed, reduced into a fresh dict."""
+    """The product of two term dicts: ``mul_pairs`` over every pair of
+    terms of a and b."""
+    return mul_pairs(A, product(a.items(), b.items()))
+
+
+def mul_pairs(A: BasedAlgebra, pairs: Iterable) -> dict:
+    """The product kernel: the oracle's dicts for the given term pairs
+    ((ia, ca), (ib, cb)) (any int coefficients), scaled and summed, reduced
+    into a fresh dict."""
     mul, p = A.mul_indices, A.field.p
     acc: dict = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            scale = ca * cb
-            for idx, c in mul(ia, ib).items():
-                acc[idx] = acc.get(idx, 0) + scale * c
-    return {idx: c for idx, v in acc.items() if (c := v % p)}
+    for (ia, ca), (ib, cb) in pairs:
+        scale = ca * cb
+        for idx, c in mul(ia, ib).items():
+            acc[idx] = acc.get(idx, 0) + scale * c
+    # a plain loop: on Python 3.11 a comprehension costs a function frame
+    out = {}
+    for idx, v in acc.items():
+        if c := v % p:
+            out[idx] = c
+    return out
 
 
 def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:

@@ -36,7 +36,8 @@ rows of its nonzero entries, and shared by the determinant test, the
 Nakayama solve and reduction at points; see ``CentralFreeExtension.gram``.
 A slot projection on an engine that has proved the exponent grading
 computes one entry per row, the rest being zero by that proof; any other
-form computes all rank^2 entries.  The determinant
+form computes all rank^2 entries.  On the same proof the Nakayama solve
+multiplies only the term pairs that can reach the slot.  The determinant
 test's structure scan rides on its status, and the Nakayama solve reads it
 from there.
 """
@@ -47,7 +48,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .algcore import BasedAlgebra, Element, filtered_degree, gr_of, mul_terms
+from .algcore import BasedAlgebra, Element, filtered_degree, gr_of, mul_pairs, mul_terms
 from .errors import (
     AlgebraDefinitionError,
     DomainError,
@@ -70,10 +71,13 @@ def _gauss_jordan(rows: list[list[int]], p: int, inverse: bool = False):
     With ``inverse`` the identity rides along and is reduced as well, so
     ``inv`` is the inverse of an invertible square matrix, else None;
     without it only the rows below each pivot are cleared, which is all
-    rank and det need.
+    rank and det need.  A 1x1 matrix is read off its one entry.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    if m == n == 1:
+        x = rows[0][0] % p
+        return int(x != 0), x, [[pow(x, -1, p)]] if inverse and x else None
     A = [
         [x % p for x in row] + ([int(i == j) for j in range(m)] if inverse else [])
         for i, row in enumerate(rows)
@@ -199,17 +203,31 @@ class CentralFreeExtension:
     def with_form(self, form) -> "CentralFreeExtension":
         return CentralFreeExtension(self.ambient, self.engine, form, self.name)
 
+    def partners(self) -> Optional[list]:
+        """The engine's partners of the form's slot when the exponent
+        grading is proved for this form, else None: the one condition on
+        which ``gram()`` and the Nakayama solve skip products.  The form
+        must be a ``ProjectionForm`` on this extension's own engine, whose
+        algebra is the ambient itself (a grading proved on another
+        algebra's product does not carry over) and which has proved the
+        grading (``RestrictedBasisEngine.graded``).  Then x^s * x^t lies on
+        s + t and reaches the slot only when (s + t) mod ell is the slot.
+        """
+        form, engine, A = self.form, self.engine, self.ambient
+        if isinstance(form, ProjectionForm) and form.engine is engine and engine.algebra is A:
+            return engine.partners(form.slot)
+        return None
+
     def gram(self) -> list[dict[int, Element]]:
         """The Gram matrix M[i][j] = Phi(b_i * b_j), built once per form.
 
         Row i is a dict {j: M[i][j]} of its nonzero entries, a missing
         column being a zero entry.  Each row computes the entries of its
         column set and stores those that are nonzero.  The column set is
-        the whole basis, except for a slot projection on the extension's
-        own engine when that engine has proved the grading of this
-        ambient's product (``RestrictedBasisEngine.graded``): there b * c
-        lands on slot b + c mod ell, so the one column that can be nonzero
-        is the engine's partner of b, and a row costs one product.
+        the whole basis, except where ``partners`` names the proved
+        grading: there b * c lands on slot b + c mod ell, so the one column
+        that can be nonzero is the partner of b, and a row costs one
+        product.
         Each computed entry makes one product and, Phi being linear, sums
         c_t * Phi(x^t) over the product's terms c_t * x^t.  Phi is evaluated
         once per distinct index t, so an entry whose terms all map to zero
@@ -224,12 +242,9 @@ class CentralFreeExtension:
             A = self.ambient
             basis = self.basis
             fld, mul = A.field, A.mul_indices
-            columns = [range(len(basis))] * len(basis)
-            engine = self.engine
-            if isinstance(form, ProjectionForm) and form.engine is engine and engine.algebra is A:
-                partners = engine.partners(form.slot)
-                if partners is not None:
-                    columns = [(j,) for j in partners]
+            partners = self.partners()
+            rank = len(basis)
+            columns = [range(rank)] * rank if partners is None else [(j,) for j in partners]
             images: dict = {}  # index t -> the terms of Phi(x^t)
             gram = []
             for b, cols in zip(basis, columns):
@@ -609,7 +624,13 @@ def nakayama_on_generators(
     block being a pivot inverted.  The whole-basis identity check below
     guards the solution.  It is then revalidated on NAKAYAMA_CHECKS random
     pairs through an ``_extension`` of nu.  It runs on term dicts through
-    ``mul_terms``; only the form's inputs are elements.
+    ``mul_pairs``; only the form's inputs are elements.
+
+    Each Phi of a product (right-hand sides, identity check, both sides of
+    the random pairs) multiplies, when ``E.partners()`` names the proved
+    grading, only the term pairs that can reach the slot.  These are
+    pairs of the computed terms, nu(r)'s included, so no homogeneity of
+    nu is assumed.
     """
     if certificate is None:
         certificate = verify_frobenius(E)
@@ -631,12 +652,27 @@ def nakayama_on_generators(
         for j, row in zip(cols, inv):
             columns[j] = {basis[i]: w for i, w in zip(rows, row) if w}
 
-    def phi(terms: dict) -> Element:  # fresh, reduced terms
-        return E.form(Element.reduced(fld, terms))
+    # on the proved grading x^s * x^t reaches the slot only when the
+    # residue classes of s and t are partners; other pairs are not
+    # multiplied, and a product with no pair left is 0
+    partners, zero = E.partners(), E.form(Element(fld))
+    classes = {b: i for i, b in enumerate(basis)}  # index -> its class's position
+
+    def position(idx) -> int:
+        i = classes.get(idx)
+        if i is None:
+            i = classes[idx] = classes[tuple(e % E.engine.ell for e in idx)]
+        return i
+
+    def phi_of(a: dict, b: dict) -> Element:
+        pairs = [(u, v) for u in a.items() for v in b.items()
+                 if partners is None or partners[position(u[0])] == position(v[0])]
+        # the kernel's dict is fresh and reduced
+        return E.form(Element.reduced(fld, mul_pairs(A, pairs))) if pairs else zero
 
     images_by_index, images = {}, {}
     for g_idx, g_name in zip(A.generator_indices, A.generator_names):
-        rhs = [phi(A.mul_indices(c, g_idx)) for c in basis]
+        rhs = [phi_of({c: 1}, {g_idx: 1}) for c in basis]
         # nu(g) = sum over j of Phi(b_j * g) * columns[j], S being central
         acc: dict = {}
         for j, v in enumerate(rhs):
@@ -645,7 +681,7 @@ def nakayama_on_generators(
         nu_g = {idx: c for idx, v in acc.items() if (c := v % p)}
         # defining identity on the whole basis, not only where we solved
         for c, lhs in zip(basis, rhs):
-            if lhs != phi(mul_terms(A, nu_g, {c: 1})):
+            if lhs != phi_of(nu_g, {c: 1}):
                 raise AlgebraDefinitionError(
                     f"Nakayama solve inconsistent at generator {g_name}, basis {c}"
                 )
@@ -656,7 +692,7 @@ def nakayama_on_generators(
     for _ in range(NAKAYAMA_CHECKS):
         q = _random_terms(E, rng)
         r = _random_terms(E, rng)
-        if phi(mul_terms(A, q, r)) != phi(mul_terms(A, nu(r), q)):
+        if phi_of(q, r) != phi_of(nu(r), q):
             raise AlgebraDefinitionError(
                 f"Nakayama identity fails on a random pair in {E.name}"
             )
@@ -709,7 +745,11 @@ def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], 
 def _random_terms(E: CentralFreeExtension, rng: random.Random) -> dict:
     """One or two random terms with random nonzero coefficients."""
     p, draw = E.ambient.field.p, E.engine.random_index
-    return {draw(rng): rng.randrange(1, p) for _ in range(rng.randrange(1, 3))}
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        idx = draw(rng)  # the index is drawn before its coefficient
+        terms[idx] = rng.randrange(1, p)
+    return terms
 
 
 # ---------------------------------------------------------------------------

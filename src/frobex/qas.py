@@ -127,7 +127,8 @@ class RestrictedBasisEngine:
     is the ordered product of generator powers, so the grading holds
     exactly when every generator-pair product x_i * x_j is supported on
     {e_i + e_j}: any word then sorts into normal order one homogeneous
-    swap at a time.  The n^2 pairs are checked once, here.
+    swap at a time.  The n^2 pairs are checked once, here.  The Gram build
+    and the Nakayama solve read it through ``CentralFreeExtension.partners``.
     """
 
     def __init__(self, algebra: BasedAlgebra, ell: int):

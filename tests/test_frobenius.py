@@ -83,6 +83,20 @@ def test_fp_helpers():
     assert fp_inverse([[1, 1], [1, 1]], p) is None
 
 
+@pytest.mark.parametrize("p", [7, 53])
+def test_one_by_one_elimination_matches_the_general_one(p):
+    # a 1x1 matrix is read off its entry; padded into diag(x, 1) it takes
+    # the general elimination, which must agree on rank, det and inverse
+    for x in range(p):
+        for inverse in (False, True):
+            rank, det, inv = frobenius._gauss_jordan([[x]], p, inverse)
+            rank2, det2, inv2 = frobenius._gauss_jordan([[x, 0], [0, 1]], p, inverse)
+            assert (rank + 1, det) == (rank2, det2), x
+            assert inv == (inv2 and [[inv2[0][0]]]), x
+        assert frobenius._gauss_jordan([[x - p]], p) == frobenius._gauss_jordan([[x]], p)
+    assert fp_inverse([[3]], 53) == [[18]] and fp_rank([[0]], 7) == fp_det([[7]], 7) == 0
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 # ---------------------------------------------------------------------------
@@ -505,22 +519,20 @@ def test_nakayama_fixes_central_generators():
 
 
 def test_nakayama_multiplies_out_generator_powers_once():
-    # one solve makes 1,607 oracle products on the term-dict kernel, the
+    # on the proved grading one solve multiplies only the term pairs that
+    # can reach the top slot: 169 oracle products, no pair twice, the
     # generator powers and monomial images each multiplied out once per
-    # solve; the Element solve made 1,690 on its own pairs
-    base = make_qas(2, 7).algebra()
-    calls = Counter()
-
-    def counting(i, j):
-        calls["products"] += 1
-        return base.mul_indices(i, j)
-
-    ext = ell_centre_extension(replace(base, mul_indices=counting), 7)
+    # solve (1,607 before the skip, 1,690 for the Element solve)
+    A, calls = counted(make_qas(2, 7).algebra())
+    ext = ell_centre_extension(A, 7)
     cert = verify_frobenius(ext)
-    calls.clear()
+    del calls[:]
     nak = nakayama_on_generators(ext, cert, rng=random.Random(0))
     assert nak.checked_pairs == 200
-    assert calls["products"] == 1607 < 1690
+    made = Counter(calls)
+    assert len(calls) == 169 and set(made.values()) == {1}
+    # the first right-hand side made is Phi(c * x1) for the partner c of x1
+    assert calls[0] == ((5, 6), (1, 0))
 
 
 def test_nakayama_revalidates_on_400_random_elements(monkeypatch):
@@ -561,6 +573,132 @@ def test_nakayama_random_pairs_catch_a_wrong_multiplicative_extension(monkeypatc
     monkeypatch.setattr(frobenius, "_extension", scalar_dropping)
     with pytest.raises(AlgebraDefinitionError, match="on a random pair in"):
         nakayama_on_generators(ext, rng=random.Random(0))
+
+
+def test_nakayama_skip_reads_the_terms_of_nu_r(monkeypatch):
+    # nu(x^a) gains a term at a + (1, 0), off the residue class of a,
+    # whenever an exponent is >= 2: right on the generators, wrong off
+    # them.  The grading skip must pair q with the terms nu(r) has, not
+    # with those a homogeneous nu would have, or the random pairs miss it
+    ext = ell_centre_extension(make_qas(2, 7).algebra(), 7)
+    extension = frobenius._extension
+
+    def off_class(A, images):
+        nu = extension(A, images)
+
+        def apply(terms):
+            out = nu(terms)
+            for a in terms:
+                if max(a) >= 2:
+                    t = (a[0] + 1, a[1])
+                    out[t] = out.get(t, 0) + 1
+            return out
+
+        return apply
+
+    monkeypatch.setattr(frobenius, "_extension", off_class)
+    with pytest.raises(AlgebraDefinitionError, match="on a random pair in"):
+        nakayama_on_generators(ext, rng=random.Random(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), ell=st.integers(2, 5), data=st.data())
+def test_slot_projection_needs_a_term_pair_on_the_slot(n, ell, data):
+    # the premise of the Nakayama skip, from the word oracle alone: the
+    # slot projection of q * r is that of the products of its term pairs
+    # (s, t) with (s + t) mod ell on the slot, and 0 when there is none
+    p = 61  # ell divides p - 1 for every ell here
+    zeta = next(z for z in range(2, p) if all(pow(z, k, p) != 1 for k in range(1, ell))
+                and pow(z, ell, p) == 1)
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            C[i][j] = data.draw(st.integers(0, ell - 1))
+            C[j][i] = -C[i][j]
+    box = st.tuples(*[st.integers(0, 2 * ell - 1)] * n)
+    terms = st.dictionaries(box, st.integers(1, p - 1), min_size=1, max_size=2)
+    q, r = data.draw(terms), data.draw(terms)
+    slot = data.draw(st.tuples(*[st.integers(0, ell - 1)] * n))
+
+    def on_slot(idx):
+        return tuple(e % ell for e in idx) == slot
+
+    def projection(pairs):
+        full = {}
+        for (s, cs), (t, ct) in pairs:
+            k, e = qas_product_oracle(C, ell, s, t)
+            full[e] = (full.get(e, 0) + cs * ct * pow(zeta, k, p)) % p
+        return {e: v for e, v in full.items() if v and on_slot(e)}
+
+    pairs = list(itertools.product(q.items(), r.items()))
+    reaching = [(u, v) for u, v in pairs if on_slot(tuple(map(add, u[0], v[0])))]
+    event(f"{len(reaching)} of {len(pairs)} term pairs reach the slot")
+    assert projection(pairs) == projection(reaching)
+    if not reaching:
+        assert projection(pairs) == {}
+
+
+def test_nakayama_draws_the_same_pairs_for_a_seed():
+    # each term's index is drawn before its coefficient
+    ext = ell_centre_extension(make_qas(2, 3).algebra(), 3)
+    rng = random.Random(0)
+    drawn = [(frobenius._random_terms(ext, rng), frobenius._random_terms(ext, rng))
+             for _ in range(3)]
+    assert [(list(q.items()), list(r.items())) for q, r in drawn] == [
+        ([((2, 4), 1), ((4, 2), 5)], [((1, 4), 3), ((0, 5), 3)]),
+        ([((2, 5), 2)], [((2, 1), 1), ((4, 2), 5)]),
+        ([((1, 3), 1)], [((3, 3), 4)]),
+    ]
+
+
+@pytest.mark.parametrize("n, ell, c12", [(1, 5, 0), (2, 3, 1), (2, 5, 2), (3, 3, 1), (2, 4, 0)])
+def test_nakayama_skip_matches_the_full_solve(n, ell, c12):
+    # a plain callable around the same form has no proved grading, so its
+    # solve makes every product; both solves find the same nu
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            C[i][j], C[j][i] = c12 + i, -c12 - i
+    ext = ell_centre_extension(make_qas(n, ell, cmatrix=C).algebra(), ell)
+    plain = ext.with_form(lambda y, form=ext.form: form(y))
+    assert ext.partners() is not None and plain.partners() is None
+    skipped = nakayama_on_generators(ext, rng=random.Random(3))
+    full = nakayama_on_generators(plain, rng=random.Random(3))
+    assert skipped == full and skipped.checked_pairs == 200
+
+
+def test_off_grade_generator_pair_keeps_every_nakayama_product(monkeypatch):
+    # the off-grade oracle of the Gram test below: without a proof for
+    # this ambient's product, the solve multiplies every right-hand side
+    # Phi(c * g), every identity-check product and every random term pair;
+    # the off-grade term is not associative, and the random pairs say so
+    base = make_qas(2, 3, 7).algebra()
+    top = (2, 2)
+
+    def mul(i, j):
+        prod = base.mul_indices(i, j)
+        return {**prod, top: 1} if (i, j) == ((0, 1), (1, 0)) else prod
+
+    A, calls = counted(replace(base, mul_indices=mul))
+    draw, drawn = frobenius._random_terms, []
+
+    def recording(E, rng):
+        drawn.append(draw(E, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(frobenius, "_random_terms", recording)
+    for eng in (RestrictedBasisEngine(A, 3), RestrictedBasisEngine(base, 3)):
+        ext = CentralFreeExtension(A, eng, ProjectionForm(eng, top))
+        cert = verify_frobenius(ext)
+        assert cert.verdict == "frobenius" and ext.partners() is None
+        del calls[:], drawn[:]
+        with pytest.raises(AlgebraDefinitionError, match="on a random pair in"):
+            nakayama_on_generators(ext, cert, rng=random.Random(0))
+        made = set(calls)
+        basis, gens = eng.basis, A.generator_indices
+        assert set(itertools.product(basis, gens)) <= made
+        assert set(itertools.product(gens, basis)) <= made  # nu(g) has the term g
+        assert set(itertools.product(drawn[-2], drawn[-1])) <= made
 
 
 def test_automorphism_refuses_indices_that_are_not_exponent_tuples():
