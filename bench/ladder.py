@@ -207,7 +207,7 @@ CASES = (
     Case("cli qweyl-transfer --ell 5", 3, command("qweyl-transfer", "--ell", "5")),
     Case("cli rees-demo --ell 4 --window 12", 3,
          command("rees-demo", "--ell", "4", "--window", "12")),
-    Case("cli rees-demo --ell 5", 1, command("rees-demo", "--ell", "5")),
+    Case("cli rees-demo --ell 5", 3, command("rees-demo", "--ell", "5")),
     Case("cli rees-demo --ell 7", 1, command("rees-demo", "--ell", "7")),
     *(Case(f"det_is_unit every q-Weyl slot ell {ell}", 3, qweyl_slot_determinants(ell))
       for ell in (5, 6, 7)),

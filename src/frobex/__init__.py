@@ -17,7 +17,6 @@ from .algcore import (
     gr_of,
     multiply,
     parse_algebra_config,
-    top_symbol,
 )
 from .errors import (
     AlgebraDefinitionError,
@@ -35,7 +34,6 @@ from .frobenius import (
     GramStatus,
     ProjectionForm,
     det_is_unit,
-    dual_basis,
     ell_centre_extension,
     gram_matrix,
     lift_form,

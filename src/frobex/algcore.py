@@ -227,17 +227,6 @@ class Element:
         scalar %= self.field.p
         return Element(self.field, {idx: scalar * c for idx, c in self.terms.items()})
 
-    def coeff(self, idx) -> int:
-        return self.terms.get(idx, 0)
-
-    def support(self):
-        return self.terms.keys()
-
-    def single_term(self) -> tuple:
-        if len(self.terms) != 1:
-            raise DomainError("element is not a single term")
-        return next(iter(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -277,9 +266,6 @@ class BasedAlgebra:
 
     def monomial(self, idx, coeff: int = 1) -> Element:
         return Element(self.field, {idx: coeff})
-
-    def one_element(self) -> Element:
-        return self.monomial(self.one)
 
     def zero(self) -> Element:
         return Element(self.field, {})
@@ -384,14 +370,6 @@ def filtered_degree(A: BasedAlgebra, a: Element) -> GroupElement:
     if a.is_zero():
         raise DomainError("filtered degree of 0")
     return max(A.degree_of(idx) for idx in a.terms)
-
-
-def top_symbol(A: BasedAlgebra, a: Element) -> Element:
-    """The sum of the terms of maximal degree."""
-    if a.is_zero():
-        raise DomainError("top symbol of 0")
-    d = filtered_degree(A, a)
-    return Element(A.field, {idx: c for idx, c in a.terms.items() if A.degree_of(idx) == d})
 
 
 def gr_of(A: BasedAlgebra) -> BasedAlgebra:

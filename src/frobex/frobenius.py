@@ -293,13 +293,11 @@ class CentralFreeExtension:
         return f"CentralFreeExtension({self.name}, rank={len(self.basis)})"
 
 
-def ell_centre_extension(algebra: BasedAlgebra, ell: int, form=None) -> CentralFreeExtension:
+def ell_centre_extension(algebra: BasedAlgebra, ell: int) -> CentralFreeExtension:
     """The validated extension of an exponent-indexed algebra over its
-    ell-centre, with the top restricted slot projection as the default form."""
+    ell-centre, with the top restricted slot projection as its form."""
     engine = RestrictedBasisEngine(algebra, ell)
-    if form is None:
-        form = ProjectionForm(engine, engine.top_slot())
-    ext = CentralFreeExtension(algebra, engine, form)
+    ext = CentralFreeExtension(algebra, engine, ProjectionForm(engine, engine.top_slot()))
     ext.validate()
     return ext
 
@@ -600,7 +598,6 @@ def verify_frobenius(
 @dataclass
 class NakayamaResult:
     images: dict  # generator name -> Element
-    images_by_index: dict  # generator index -> Element
     trivial: bool
     checked_pairs: int
 
@@ -611,7 +608,7 @@ NAKAYAMA_CHECKS = 200
 
 def nakayama_on_generators(
     E: CentralFreeExtension,
-    certificate: Optional[FrobeniusCertificate] = None,
+    certificate: FrobeniusCertificate,
     rng: Optional[random.Random] = None,
 ) -> NakayamaResult:
     """Solve Phi(c * g) = Phi(nu(g) * c) for nu on each algebra generator.
@@ -632,8 +629,6 @@ def nakayama_on_generators(
     pairs of the computed terms, nu(r)'s included, so no homogeneity of
     nu is assumed.
     """
-    if certificate is None:
-        certificate = verify_frobenius(E)
     if certificate.verdict != "frobenius":
         raise DomainError("Nakayama automorphism requires a frobenius verdict")
     rng = rng or random.Random(0)
@@ -670,7 +665,7 @@ def nakayama_on_generators(
         # the kernel's dict is fresh and reduced
         return E.form(Element.reduced(fld, mul_pairs(A, pairs))) if pairs else zero
 
-    images_by_index, images = {}, {}
+    by_index, images = {}, {}
     for g_idx, g_name in zip(A.generator_indices, A.generator_names):
         rhs = [phi_of({c: 1}, {g_idx: 1}) for c in basis]
         # nu(g) = sum over j of Phi(b_j * g) * columns[j], S being central
@@ -685,10 +680,10 @@ def nakayama_on_generators(
                 raise AlgebraDefinitionError(
                     f"Nakayama solve inconsistent at generator {g_name}, basis {c}"
                 )
-        images_by_index[g_idx] = images[g_name] = Element.reduced(fld, nu_g)
+        by_index[g_idx], images[g_name] = nu_g, Element.reduced(fld, nu_g)
 
-    trivial = all(images_by_index[g] == A.monomial(g) for g in A.generator_indices)
-    nu = _extension(A, {g: img.terms for g, img in images_by_index.items()})
+    trivial = all(by_index[g] == {g: 1} for g in A.generator_indices)
+    nu = _extension(A, by_index)
     for _ in range(NAKAYAMA_CHECKS):
         q = _random_terms(E, rng)
         r = _random_terms(E, rng)
@@ -696,7 +691,7 @@ def nakayama_on_generators(
             raise AlgebraDefinitionError(
                 f"Nakayama identity fails on a random pair in {E.name}"
             )
-    return NakayamaResult(images, images_by_index, trivial, NAKAYAMA_CHECKS)
+    return NakayamaResult(images, trivial, NAKAYAMA_CHECKS)
 
 
 def _extension(A: BasedAlgebra, images: dict) -> Callable[[dict], dict]:
@@ -720,10 +715,6 @@ def _extension(A: BasedAlgebra, images: dict) -> Callable[[dict], dict]:
         for a, c in terms.items():
             img = monomials.get(a)
             if img is None:
-                if not all(isinstance(e, int) for e in a):
-                    raise UnsupportedStructure(
-                        "automorphism extension needs plain exponent-tuple indices"
-                    )
                 for k, e in enumerate(a):
                     if e:
                         img = power(k, e) if img is None else mul_terms(A, img, power(k, e))
@@ -733,13 +724,6 @@ def _extension(A: BasedAlgebra, images: dict) -> Callable[[dict], dict]:
         return out
 
     return apply
-
-
-def automorphism(A: BasedAlgebra, images_by_index: dict) -> Callable[[Element], Element]:
-    """Extend generator images {index: Element} multiplicatively to
-    elements, through ``_extension``."""
-    apply = _extension(A, {g: img.terms for g, img in images_by_index.items()})
-    return lambda el: Element(A.field, apply(el.terms))
 
 
 def _random_terms(E: CentralFreeExtension, rng: random.Random) -> dict:
@@ -767,7 +751,6 @@ class ReducedExtension:
     pairing: list
     pairing_rank: int
     nondegenerate: bool
-    dim: int
 
 
 def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
@@ -802,17 +785,12 @@ def reduce_at_point(E: CentralFreeExtension, point) -> ReducedExtension:
         pairing=pairing,
         pairing_rank=rank,
         nondegenerate=(rank == len(basis)),
-        dim=len(basis),
     )
 
 
 # ---------------------------------------------------------------------------
-# dual bases and filtered lifts
+# filtered lifts
 # ---------------------------------------------------------------------------
-
-
-def dual_basis(E: CentralFreeExtension) -> tuple[ProjectionForm, ...]:
-    return tuple(ProjectionForm(E.engine, b) for b in E.basis)
 
 
 def check_same_products(A1: BasedAlgebra, A2: BasedAlgebra, indices) -> None:

@@ -14,7 +14,7 @@ candidate.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, DomainError
 
@@ -33,10 +33,6 @@ class GroupElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
-
-    @classmethod
-    def zero(cls, n: int) -> "GroupElement":
-        return cls((0,) * n)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -132,9 +128,6 @@ class DegreeMultiset:
     def multiplicity(self, d: GroupElement) -> int:
         return self.entries.get(d, 0)
 
-    def support(self) -> Iterator[GroupElement]:
-        return iter(sorted(self.entries))
-
     def total(self) -> int:
         return sum(self.entries.values())
 
@@ -152,18 +145,6 @@ class DegreeMultiset:
 
     def max(self) -> GroupElement:
         return max(self.entries)
-
-    def without_one(self, d: GroupElement) -> "DegreeMultiset":
-        """Copy with one occurrence of d removed."""
-        if self.multiplicity(d) == 0:
-            raise DomainError(f"{d} not in multiset")
-        out = DegreeMultiset()
-        out.entries.update(self.entries)
-        if out.entries[d] == 1:
-            del out.entries[d]
-        else:
-            out.entries[d] -= 1
-        return out
 
     def __repr__(self):
         parts = [f"{g}^{m}" for g, m in sorted(self.entries.items())]

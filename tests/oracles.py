@@ -7,13 +7,13 @@ closed-form normal-ordering rules or enumerations; that is the point.
 The Gram determinant oracle expands det over S permutation by permutation
 instead of reading the structure the package's determinant paths use, and
 the Gram matrix oracles project each product as a whole rather than its
-terms through a table of form values.  ``dense_rows`` and ``sparse_rows``
+terms through a table of form values.  The multiplicative extension of
+generator images multiplies through a product callable, one generator
+factor at a time, with no tables.  ``dense_rows`` and ``sparse_rows``
 convert between the package's sparse Gram rows and dense matrices.
 """
 
 import itertools
-
-from frobex.algcore import Element, RootField
 
 
 def sort_word_oracle(cmatrix, word):
@@ -95,6 +95,16 @@ def qas_product_oracle(cmatrix, ell, a, b):
     return exponent % ell, word_to_exps(sorted_word, n)
 
 
+def qas_mul_oracle(cmatrix, ell, zeta, p):
+    """The product of exponent indices as a callable mul(a, b) returning
+    {a + b: zeta^k}, through ``qas_product_oracle``."""
+
+    def mul(a, b):
+        k, e = qas_product_oracle(cmatrix, ell, a, b)
+        return {e: pow(zeta, k, p)}
+
+    return mul
+
 
 def qas_gram_oracle(cmatrix, ell, zeta, p, weights):
     """Gram matrix over S of the form sum over r of weights[r] * (slot r).
@@ -158,7 +168,7 @@ def is_unit_oracle(poly, nvars):
 
 
 # letters for the q-Weyl oracle: 0 = y, 1 = x; normal order is all y first
-def qweyl_word_oracle(fld: RootField, word) -> dict:
+def qweyl_word_oracle(fld, word) -> dict:
     """Expand a word in x, y using x*y -> q*y*x + 1, one redex at a time.
 
     Returns the normal-ordered dictionary {(a, b): coeff} meaning
@@ -187,7 +197,7 @@ def qweyl_word_oracle(fld: RootField, word) -> dict:
     return {k: v for k, v in normal_form(tuple(word)).items() if v}
 
 
-def qweyl_gram_oracle(fld: RootField, ell, weights):
+def qweyl_gram_oracle(fld, ell, weights):
     """Gram matrix over S of the form sum over r of weights[r] * (slot r) on
     the q-Weyl algebra over its ell-centre S = F_p[Y, X], Y = y^ell and
     X = x^ell.
@@ -227,11 +237,49 @@ def rees_window_pair_counts(window):
     return sum(n[g] * n[h] for g, h in pairs), sum(top[g] * top[h] for g, h in pairs)
 
 
-def qweyl_product_oracle(fld: RootField, i, j) -> Element:
-    """Product of normal-ordered q-Weyl monomials via word rewriting."""
+def qweyl_product_oracle(fld, i, j) -> dict:
+    """Product of normal-ordered q-Weyl monomials via word rewriting, as
+    {(a, b): coeff}."""
     (a1, b1), (a2, b2) = i, j
     word = (0,) * a1 + (1,) * b1 + (0,) * a2 + (1,) * b2
-    return Element(fld, qweyl_word_oracle(fld, word))
+    return qweyl_word_oracle(fld, word)
+
+
+def top_terms_oracle(degree, terms):
+    """The terms of a nonzero term dict on its largest ``degree(index)``:
+    its top symbol."""
+    top = max(map(degree, terms))
+    return {i: c for i, c in terms.items() if degree(i) == top}
+
+
+def terms_product_oracle(mul, p, f, g):
+    """The bilinear product of term dicts {index: coeff} mod p, every
+    pair of terms multiplied through ``mul(i, j) -> {index: coeff}``."""
+    out: dict = {}
+    for i, c in f.items():
+        for j, d in g.items():
+            for t, v in mul(i, j).items():
+                out[t] = (out.get(t, 0) + c * d * v) % p
+    return {t: v for t, v in out.items() if v}
+
+
+def extension_oracle(mul, p, images, terms):
+    """The multiplicative extension of generator images to a term dict.
+
+    ``images[k]`` is the image {index: coeff} of the k-th generator, and
+    the exponent index a stands for the ordered product g_1^a_1 ... g_n^a_n
+    of generator powers, so its image is built up from the unit (0, ..., 0)
+    by multiplying on the right by images[k], a_k times for each k in turn.
+    """
+    out: dict = {}
+    for a, c in terms.items():
+        image = {(0,) * len(a): 1}
+        for k, e in enumerate(a):
+            for _ in range(e):
+                image = terms_product_oracle(mul, p, image, images[k])
+        for t, v in image.items():
+            out[t] = (out.get(t, 0) + c * v) % p
+    return {t: v for t, v in out.items() if v}
 
 
 # Gr(2,4): letters 0..5 stand for x1..x6, census degrees 2, 1, 2, 1, 2, 2

@@ -6,9 +6,12 @@ verdictbench/tracer.py replaces frobex functions and methods by name for a
 traced run, and verdictbench/workloads.py calls frobex's public signatures;
 a refactor that renames, moves or prunes one of them would break the
 benchmark without failing any other test.  Both files are loaded by file
-path and only read.
+path and only read.  The other way round, every name frobex exports has a
+caller outside the tests: in the package itself, the ladder or the
+benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -18,7 +21,8 @@ import pytest
 
 from oracles import rees_window_pair_counts
 
-BENCH = Path(__file__).resolve().parent.parent / "verdictbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "verdictbench"
 
 
 def _load(name):
@@ -118,3 +122,45 @@ def test_traced_qas_ladder_job_reaches_the_gram_span(monkeypatch):
     layers = recorder.layer_metrics()
     assert layers["calls"].get("frobenius.gram_matrix", 0) >= 1
     assert layers["products_per_gram_entry"] > 0
+
+
+# exported for the acceptance suite only: criterion 8 runs the freeness
+# sweep of the Grassmannian's distinguished family, which no command reports
+TEST_ONLY_EXPORTS = {"verify_freeness_window"}
+
+
+def _references(tree, skip=None):
+    """The names, attribute names and string constants a tree uses, apart
+    from the body of any def or class called ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)  # the tracer wraps names given as strings
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a name only the tests reach is test-only API; the package's other
+    # modules count apart from the name's own def or class
+    package = ROOT / "src" / "frobex"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in package.glob("*.py") if path.name != "__init__.py"]
+    outside = set()
+    for path in [*(ROOT / "bench").glob("*.py"), *BENCH.glob("*.py")]:
+        outside |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    unreached = [name for name in exports
+                 if name not in outside and not any(name in _references(tree, skip=name)
+                                                    for tree in modules)]
+    assert exports
+    assert set(unreached) == TEST_ONLY_EXPORTS

@@ -74,7 +74,7 @@ def test_witness_is_involutive(values):
     d = multiset_symmetry_witness(D)
     if d is not None:
         # e -> d - e must preserve multiplicities, and it is an involution
-        for e in D.support():
+        for e in D.entries:
             assert D.multiplicity(d - e) == D.multiplicity(e)
             assert (d - (d - e)) == e
 
@@ -102,7 +102,8 @@ def test_truncated_multiset_loses_witness():
     ell = 3
     d1, d2 = g(1, 0), g(0, 2)
     full = [a1 * d1 + a2 * d2 for a1 in range(ell) for a2 in range(ell)]
-    D = DegreeMultiset(full).without_one((ell - 1) * (d1 + d2))
+    full.remove((ell - 1) * (d1 + d2))
+    D = DegreeMultiset(full)
     assert multiset_symmetry_witness(D) is None
 
 
@@ -110,5 +111,5 @@ def test_multiset_counts_and_support():
     D = DegreeMultiset([g(1), g(1), g(0)])
     assert D.total() == 3
     assert D.multiplicity(g(1)) == 2
-    assert list(D.support()) == [g(0), g(1)]
+    assert sorted(D.entries) == [g(0), g(1)]
     assert D.min() == g(0) and D.max() == g(1)

@@ -20,7 +20,7 @@ from frobex.qas import (
     standard_cmatrix,
 )
 
-from oracles import qas_product_oracle, qweyl_product_oracle
+from oracles import qas_product_oracle, qweyl_product_oracle, top_terms_oracle
 
 
 def random_antisymmetric(n, rng, bound=3):
@@ -152,7 +152,7 @@ def test_monomial_degree_is_the_fold_of_generator_degrees():
         Q = QuantumAffineSpace(RootField(7, 3), standard_cmatrix(n), degrees)
         for _ in range(50):
             exps = tuple(rng.choice((0, 0, 1, rng.randrange(0, 9))) for _ in range(n))
-            fold = GroupElement.zero(m)
+            fold = GroupElement((0,) * m)
             for e, d in zip(exps, degrees):
                 if e:
                     fold = fold + e * d
@@ -176,7 +176,7 @@ def test_restricted_decompose_monomial_slots():
     # x1^3 x2^4 at ell = 3 sits in slot (0, 1) with central part x1^3 x2^3
     dec = decompose(alg.monomial((3, 4)))
     assert set(dec) == {(0, 1)}
-    idx, c = dec[(0, 1)].single_term()
+    (idx, c), = dec[(0, 1)].terms.items()
     assert idx == (3, 3)
     # reassembly undoes any scalar bookkeeping exactly
     assert reassemble(alg, dec) == alg.monomial((3, 4))
@@ -240,7 +240,7 @@ def test_projection_split_failures_are_not_memoized():
             engine.split((4, 1))
         broken[0] = False
         assert engine.split((4, 1)) == ((1, 1), (3, 0), 1)
-        assert ProjectionForm(engine, (1, 1))(y) == A.monomial((3, 0)) + A.one_element()
+        assert ProjectionForm(engine, (1, 1))(y) == A.monomial((3, 0)) + A.monomial(A.one)
 
 
 def test_frobenius_form_examples():
@@ -249,13 +249,13 @@ def test_frobenius_form_examples():
     alg = A.algebra()
     form = ell_centre_extension(alg, ell).form
     top = (ell - 1,) * n
-    assert form(alg.monomial(top)) == alg.one_element()
+    assert form(alg.monomial(top)) == alg.monomial(alg.one)
     for a in itertools.product(range(ell), repeat=n):
         if a != top:
             assert form(alg.monomial(a)).is_zero()
     # slot ell-1 with a central shift: x1^(2*ell-1) x2^(ell-1)
     val = form(alg.monomial((2 * ell - 1, ell - 1)))
-    idx, _ = val.single_term()
+    (idx, _), = val.terms.items()
     assert idx == (ell, 0)
 
 
@@ -324,11 +324,9 @@ def test_qweyl_defining_relation():
 
 
 def test_qweyl_top_symbol_truncates():
-    from frobex.algcore import top_symbol
-
     W = quantum_weyl(3, 7)
     prod = multiply(W, W.monomial((0, 1)), W.monomial((1, 0)))
-    assert top_symbol(W, prod) == Element(W.field, {(1, 1): W.field.zeta})
+    assert top_terms_oracle(W.degree_of, prod.terms) == {(1, 1): W.field.zeta}
 
 
 def test_qweyl_matches_word_oracle():
@@ -336,7 +334,7 @@ def test_qweyl_matches_word_oracle():
     for a1, b1, a2, b2 in itertools.product(range(3), repeat=4):
         got = multiply(W, W.monomial((a1, b1)), W.monomial((a2, b2)))
         want = qweyl_product_oracle(W.field, (a1, b1), (a2, b2))
-        assert got == want
+        assert got.terms == want
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -349,7 +347,7 @@ def test_qweyl_cached_products_match_word_oracle(ell):
     pairs = [(i, j) for i in indices for j in indices if sum(i) + sum(j) <= window]
     want = {pair: qweyl_product_oracle(W.field, *pair) for pair in pairs}
     for pair in pairs + pairs[::-1]:
-        assert W.mul_indices(*pair) == want[pair].terms, pair
+        assert W.mul_indices(*pair) == want[pair], pair
     for idx in indices:
         assert W.degree_of(idx) == GroupElement((idx[0] + idx[1],))
         assert W.degree_of(idx) is W.degree_of(idx)
@@ -405,7 +403,7 @@ def test_trusted_products_are_reduced():
                 assert type(prod) is dict, alg.name
                 assert all(0 < c < p for c in prod.values()), (alg.name, i, j)
                 if alg is W:
-                    assert prod == qweyl_product_oracle(W.field, i, j).terms
+                    assert prod == qweyl_product_oracle(W.field, i, j)
 
 
 def test_product_oracles_return_fresh_dicts():
@@ -424,7 +422,7 @@ def test_product_oracles_return_fresh_dicts():
                 assert alg.mul_indices(i, j) == want, (alg.name, i, j)
     for i in indices:
         for j in indices:
-            assert W.mul_indices(i, j) == qweyl_product_oracle(W.field, i, j).terms
+            assert W.mul_indices(i, j) == qweyl_product_oracle(W.field, i, j)
 
 
 def test_qweyl_caches_belong_to_one_algebra():
@@ -433,7 +431,7 @@ def test_qweyl_caches_belong_to_one_algebra():
     for W in algebras + algebras[::-1]:
         for a1, b1, a2, b2 in itertools.product(range(4), repeat=4):
             got = W.mul_indices((a1, b1), (a2, b2))
-            assert got == qweyl_product_oracle(W.field, (a1, b1), (a2, b2)).terms
+            assert got == qweyl_product_oracle(W.field, (a1, b1), (a2, b2))
 
 
 @pytest.mark.parametrize("ell,p", [(2, 5), (3, 7), (5, 11)])
@@ -452,7 +450,7 @@ def test_qweyl_centrality_against_oracle():
         fld = RootField(p, ell)
         left = qweyl_product_oracle(fld, (0, ell), (1, 0))
         right = qweyl_product_oracle(fld, (1, 0), (0, ell))
-        assert left == right == Element(fld, {(1, ell): 1})
+        assert left == right == {(1, ell): 1}
 
 
 def test_qweyl_rejects_small_ell():
@@ -476,7 +474,7 @@ def test_quantum_plane_of_weyl_matches_gr():
 def test_free_basis_multiset_survives_gr():
     # restricted monomials have the same degrees filtered and graded,
     # and their top symbols are again the restricted basis
-    from frobex.algcore import gr_of, top_symbol
+    from frobex.algcore import gr_of
 
     ell = 2
     W = quantum_weyl(ell, 5)
@@ -486,7 +484,7 @@ def test_free_basis_multiset_survives_gr():
     graded_degrees = sorted(G.degree_of(b).coords[0] for b in basis)
     assert filtered_degrees == graded_degrees
     for b in basis:
-        assert top_symbol(W, W.monomial(b)) == G.monomial(b)
+        assert top_terms_oracle(W.degree_of, {b: 1}) == G.monomial(b).terms
 
 
 def test_from_config_round_trip():

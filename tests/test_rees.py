@@ -240,7 +240,7 @@ def broken_target(target, bad):
     def mul(b, c):
         prod = target.mul_indices(b, c)
         if (b, c) == bad:
-            prod = (Element(target.field, prod) + target.one_element()).terms
+            prod = (Element(target.field, prod) + target.monomial(target.one)).terms
         return prod
 
     return replace(target, mul_indices=mul)
@@ -319,9 +319,9 @@ def test_products_make_no_group_elements(rees3, weyl3, monkeypatch):
 
 def test_reduction_maps_unit_to_unit(rees3, weyl3):
     m0, m1 = canonical(rees3)
-    one = rees3.algebra.one_element()
-    assert image(m0, one) == gr_of(weyl3).one_element()
-    assert image(m1, one) == weyl3.one_element()
+    one = rees3.algebra.monomial(rees3.algebra.one)
+    assert image(m0, one) == gr_of(weyl3).monomial(weyl3.one)
+    assert image(m1, one) == weyl3.monomial(weyl3.one)
 
 
 def test_m0_recovers_quantum_plane_table(rees3, weyl3):
