@@ -197,7 +197,7 @@ def census():
 CASES = (
     Case("cli qas-verify --n 3 --ell 5", 3, command("qas-verify", "--n", "3", "--ell", "5")),
     Case("cli nakayama --n 3 --ell 5", 7, command("nakayama", "--n", "3", "--ell", "5")),
-    *(Case(f"verify_frobenius rank {ell**n}", 3, verify(n, ell))
+    *(Case(f"verify_frobenius rank {ell**n}", 7, verify(n, ell))
       for n, ell in ((2, 13), (3, 7), (4, 5), (2, 31))),
     Case("ell_centre_extension rank 169", 5, extension(13)),
     *(Case(f"nakayama_on_generators rank {ell**n}", 7, nakayama(n, ell))
@@ -209,8 +209,8 @@ CASES = (
          command("rees-demo", "--ell", "4", "--window", "12")),
     Case("cli rees-demo --ell 5", 3, command("rees-demo", "--ell", "5")),
     Case("cli rees-demo --ell 7", 1, command("rees-demo", "--ell", "7")),
-    *(Case(f"det_is_unit every q-Weyl slot ell {ell}", 3, qweyl_slot_determinants(ell))
-      for ell in (5, 6, 7)),
+    *(Case(f"det_is_unit every q-Weyl slot ell {ell}", runs, qweyl_slot_determinants(ell))
+      for ell, runs in ((5, 3), (6, 3), (7, 7))),
     Case("check_same_products ell 5", 3, same_products(5)),
     Case("check_reduction_tables ell 4 window 12", 3, reduction_tables(4, 12)),
     Case("q-Weyl product window ell 4", 5, weyl_products(4)),

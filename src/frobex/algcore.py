@@ -177,19 +177,6 @@ class Element:
                     clean[idx] = c
         _set_terms(self, clean)
 
-    @classmethod
-    def reduced(cls, fld: RootField, terms: dict) -> "Element":
-        """Wrap terms as they are, without reducing or copying them.
-
-        Only for a fresh dict that nothing else holds, whose values all lie
-        in [1, p): it becomes the element's own terms, as in ``multiply``
-        and in the form inputs of the Gram build and the Nakayama solve.
-        """
-        el = object.__new__(cls)
-        _set_field(el, fld)
-        _set_terms(el, terms)
-        return el
-
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
@@ -266,9 +253,6 @@ class BasedAlgebra:
 
     def monomial(self, idx, coeff: int = 1) -> Element:
         return Element(self.field, {idx: coeff})
-
-    def zero(self) -> Element:
-        return Element(self.field, {})
 
     def format_element(self, el: Element) -> str:
         if el.is_zero():
@@ -362,7 +346,7 @@ def multiply(A: BasedAlgebra, a: Element, b: Element) -> Element:
     """Bilinear extension of the index oracle to sparse elements."""
     if a.field != A.field or b.field != A.field:
         raise DomainError("elements do not live over the algebra's field")
-    return Element.reduced(A.field, mul_terms(A, a.terms, b.terms))
+    return Element(A.field, mul_terms(A, a.terms, b.terms))
 
 
 def filtered_degree(A: BasedAlgebra, a: Element) -> GroupElement:

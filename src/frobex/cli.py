@@ -254,7 +254,7 @@ def _read_config(args):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = parse_algebra_config(text)
     if args.command in QAS_COMMANDS:

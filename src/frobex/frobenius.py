@@ -146,30 +146,29 @@ class ProjectionForm:
     decomposition (the lift recipe is literally 'same slot, new engine'),
     and the Rees form projects onto the slot (s, deg s) of the Rees engine.
     The dual basis functional of basis element b is the projection onto
-    slot b.  A call splits every term of its input through the engine's
-    memoized ``split`` and adds up only the terms that land on its slot; an
-    empty slot reads as the one zero held by the form, so only a nonzero
-    slot builds an element.  A form's degree is what ``mapping_degree``
+    slot b.  A form maps a reduced term dict {index: coefficient in [1, p)}
+    to a reduced term dict, its value in S.  A call splits every term of
+    its input through the engine's memoized ``split`` and keeps the terms
+    that land on its slot.  Each central index s takes exactly one of them,
+    c * (1/c') with both factors in [1, p), so the output is reduced
+    whenever the input is.  A form's degree is what ``mapping_degree``
     measures.
     """
 
-    __slots__ = ("engine", "slot", "zero")
+    __slots__ = ("engine", "slot")
 
     def __init__(self, engine, slot):
         self.engine = engine
         self.slot = slot
-        self.zero = engine.algebra.zero()
 
-    def __call__(self, y: Element) -> Element:
-        # each central index s takes one term c * (1/c'), both factors
-        # nonzero mod p, so a slot that any term lands on is nonzero
-        split, slot = self.engine.split, self.slot
-        acc: dict = {}
-        for idx, c in y.terms.items():
+    def __call__(self, terms: dict) -> dict:
+        split, slot, p = self.engine.split, self.slot, self.engine.algebra.field.p
+        out: dict = {}
+        for idx, c in terms.items():
             r, s, inv = split(idx)
             if r == slot:
-                acc[s] = acc.get(s, 0) + c * inv
-        return Element(self.zero.field, acc) if acc else self.zero
+                out[s] = c * inv % p
+        return out
 
     def __repr__(self):
         return f"ProjectionForm(slot={self.slot})"
@@ -178,15 +177,17 @@ class ProjectionForm:
 class CentralFreeExtension:
     """A based algebra R, free over a central subring S, with a form R -> S.
 
-    The form must be S-linear, as a Frobenius form is: the Gram build reads
-    its values on monomials only.
+    The form maps a reduced term dict of R to a reduced term dict of S, as
+    ``ProjectionForm`` does.  It must be S-linear, as a Frobenius form is:
+    the Gram build reads its values on monomials only, and
+    ``mapping_degree`` reads Phi(b) = M[b][unit] off the Gram system.
     """
 
     def __init__(
         self,
         ambient: BasedAlgebra,
         engine,
-        form: Optional[Callable[[Element], Element]],
+        form: Optional[Callable[[dict], dict]],
         name: Optional[str] = None,
     ):
         self.ambient = ambient
@@ -254,7 +255,7 @@ class CentralFreeExtension:
                     for t, k in mul(b, basis[j]).items():
                         image = images.get(t)
                         if image is None:
-                            image = images[t] = form(Element.reduced(fld, {t: 1})).terms
+                            image = images[t] = form({t: 1})
                         for s, v in image.items():
                             acc[s] = acc.get(s, 0) + k * v
                     if acc and (entry := Element(fld, acc)):
@@ -510,15 +511,18 @@ def mapping_degree(E: CentralFreeExtension) -> Optional[GroupElement]:
     Because the basis realizes the filtration, the maximum of
     deg Phi(b) - deg b over basis elements is the filtered mapping degree.
     In graded mode the shift must be constant across the basis; a
-    non-constant shift is a homogeneity violation.
+    non-constant shift is a homogeneity violation.  Phi(b) = Phi(b * 1) is
+    read off the unit's column of the Gram system.  On the proved grading
+    row b stores that column only when b is the slot, and every other
+    Phi(b) is 0 by the same proof.
     """
     A = E.ambient
-    shifts = []
-    for b in E.basis:
-        val = E.form(A.monomial(b))
-        if val.is_zero():
-            continue
-        shifts.append(filtered_degree(A, val) - A.degree_of(b))
+    unit = E.basis.index(A.one)
+    shifts = [
+        filtered_degree(A, row[unit]) - A.degree_of(b)
+        for b, row in zip(E.basis, E.gram())
+        if unit in row
+    ]
     if not shifts:
         return None
     if A.mode == "graded" and len({s.coords for s in shifts}) > 1:
@@ -547,11 +551,12 @@ def verify_frobenius(
     rank = len(E.basis)
     D = E.degree_multiset()
     symmetry_d = multiset_symmetry_witness(D)
+    # through the public accessor, before mapping_degree reads the rows:
+    # verdictbench's tracer sees a job's Gram build, and its rank, at the
+    # gram_matrix boundary; the copy is one pointer per nonzero entry
+    M = gram_matrix(E)
     phi_degree = mapping_degree(E)
-    # through the public accessor: verdictbench's tracer sees a job's Gram
-    # build, and its rank, at the gram_matrix boundary; the copy is one
-    # pointer per nonzero entry
-    status = det_is_unit(gram_matrix(E), E)
+    status = det_is_unit(M, E)
     witnesses = rank if status.zero_line is None else status.zero_line[0]
 
     refutation = None
@@ -621,7 +626,7 @@ def nakayama_on_generators(
     block being a pivot inverted.  The whole-basis identity check below
     guards the solution.  It is then revalidated on NAKAYAMA_CHECKS random
     pairs through an ``_extension`` of nu.  It runs on term dicts through
-    ``mul_pairs``; only the form's inputs are elements.
+    ``mul_pairs`` and the form.
 
     Each Phi of a product (right-hand sides, identity check, both sides of
     the random pairs) multiplies, when ``E.partners()`` names the proved
@@ -650,7 +655,7 @@ def nakayama_on_generators(
     # on the proved grading x^s * x^t reaches the slot only when the
     # residue classes of s and t are partners; other pairs are not
     # multiplied, and a product with no pair left is 0
-    partners, zero = E.partners(), E.form(Element(fld))
+    partners = E.partners()
     classes = {b: i for i, b in enumerate(basis)}  # index -> its class's position
 
     def position(idx) -> int:
@@ -659,11 +664,10 @@ def nakayama_on_generators(
             i = classes[idx] = classes[tuple(e % E.engine.ell for e in idx)]
         return i
 
-    def phi_of(a: dict, b: dict) -> Element:
+    def phi_of(a: dict, b: dict) -> dict:
         pairs = [(u, v) for u in a.items() for v in b.items()
                  if partners is None or partners[position(u[0])] == position(v[0])]
-        # the kernel's dict is fresh and reduced
-        return E.form(Element.reduced(fld, mul_pairs(A, pairs))) if pairs else zero
+        return E.form(mul_pairs(A, pairs)) if pairs else {}
 
     by_index, images = {}, {}
     for g_idx, g_name in zip(A.generator_indices, A.generator_names):
@@ -671,7 +675,7 @@ def nakayama_on_generators(
         # nu(g) = sum over j of Phi(b_j * g) * columns[j], S being central
         acc: dict = {}
         for j, v in enumerate(rhs):
-            for idx, c in mul_terms(A, v.terms, columns[j]).items() if v else ():
+            for idx, c in mul_terms(A, v, columns[j]).items() if v else ():
                 acc[idx] = acc.get(idx, 0) + c
         nu_g = {idx: c for idx, v in acc.items() if (c := v % p)}
         # defining identity on the whole basis, not only where we solved
@@ -680,7 +684,7 @@ def nakayama_on_generators(
                 raise AlgebraDefinitionError(
                     f"Nakayama solve inconsistent at generator {g_name}, basis {c}"
                 )
-        by_index[g_idx], images[g_name] = nu_g, Element.reduced(fld, nu_g)
+        by_index[g_idx], images[g_name] = nu_g, Element(fld, nu_g)
 
     trivial = all(by_index[g] == {g: 1} for g in A.generator_indices)
     nu = _extension(A, by_index)

@@ -98,11 +98,6 @@ class GrGrassmannian:
         if len(self.s) != N_GENS or any(len(r) != N_GENS for r in self.s):
             raise DimensionMismatch("commutation matrix must be 6x6")
         check_commutation_matrix(self.s)
-        # the straightening relation must be homogeneous for the census grading
-        lhs_deg = CENSUS_DEGREES[_LHS[0]] + CENSUS_DEGREES[_LHS[1]]
-        rhs_deg = CENSUS_DEGREES[_RHS[0]] + CENSUS_DEGREES[_RHS[1]]
-        if lhs_deg != rhs_deg:
-            raise DomainError("straightening relation is not degree-homogeneous")
         ell = self.field.ell
         for a in range(N_GENS):
             lhs = self.s[a][_LHS[0]] + self.s[a][_LHS[1]]

@@ -123,7 +123,7 @@ def test_quantum_plane_swap_scalar(plane):
 def test_filtered_degree_examples():
     W = quantum_weyl(3, 7)
     with pytest.raises(DomainError, match="filtered degree of 0"):
-        filtered_degree(W, W.zero())
+        filtered_degree(W, Element(W.field))
     assert filtered_degree(W, W.monomial(W.one)) == GroupElement((0,))
     # q*yx + 1 has degree 2
     el = Element(W.field, {(1, 1): W.field.zeta, (0, 0): 1})

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -223,6 +224,32 @@ def test_census_config_rejects_a_second_rule(tmp_path, capsys):
     text = CENSUS_CONFIG + "    x1 x2 -> 1 x2 x1\n"
     err = _census_config_error(tmp_path, capsys, text)
     assert "one straightening rule, not 2" in err
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("qas-verify", b"\xff\xfe\x00bad", "cannot read config file: "),
+        ("grassmannian-census", CENSUS_CONFIG.replace("x4 ->", "x4"), "lacks '->'"),
+        ("grassmannian-census", CENSUS_CONFIG.replace("x2 x5", "x2"), "is not 'a b -> k c d'"),
+        ("grassmannian-census", CENSUS_CONFIG.replace("-> 2", "-> two"), "bad scalar exponent"),
+        ("grassmannian-census", CENSUS_CONFIG.replace("x3 x4 ->", "x3 x7 ->"),
+         "unknown generator 'x7'"),
+        ("grassmannian-census", CENSUS_CONFIG + "c = 0 1; -1 0\n",
+         "commutation matrix size does not match generators"),
+    ],
+    ids=["not-utf8", "no-arrow", "misshapen-rule", "non-int-scalar", "unknown-generator",
+         "cmatrix-size"],
+)
+def test_config_file_errors_exit_two(tmp_path, capsys, command, content, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, report = run(tmp_path, command, "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("frobex: input error: ") and message in err, err
+    assert "Traceback" not in err
+    assert "error:" in report
 
 
 def test_qweyl_config_must_present_the_fixture(tmp_path, capsys):

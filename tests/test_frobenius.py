@@ -123,14 +123,28 @@ def test_gram_antidiagonal_and_unit_row():
     A = make_qas(n, ell, 7)
     ext = ell_centre_extension(A.algebra(), ell)
     basis = ext.basis
-    M = dense_rows(gram_matrix(ext), A.algebra().zero())
+    M = dense_rows(gram_matrix(ext), Element(A.algebra().field))
     pos = {b: i for i, b in enumerate(basis)}
     for b in basis:
         comp = tuple(ell - 1 - e for e in b)
         assert not M[pos[b]][pos[comp]].is_zero()
     # unit row: M[0][c] = Phi(c)
     for j, c in enumerate(basis):
-        assert M[pos[(0, 0)]][j] == ext.form(A.algebra().monomial(c))
+        assert M[pos[(0, 0)]][j].terms == ext.form({c: 1})
+
+
+class SlotSum:
+    """Phi = sum over r of weights[r] * (projection onto slot r)."""
+
+    def __init__(self, ext, weights):
+        self.slots = [(ProjectionForm(ext.engine, r), w) for r, w in weights.items()]
+        self.field = ext.ambient.field
+
+    def __call__(self, y):
+        total = Element(self.field)
+        for proj, w in self.slots:
+            total = total + w * Element(self.field, proj(y))
+        return total.terms
 
 
 def counted_extension(n, ell, p):
@@ -155,17 +169,15 @@ def test_gram_system_built_once():
     M = gram_matrix(ext)
     assert cert.verdict == "frobenius"
     # n^2 generator-pair products prove the grading; then one Gram product
-    # per row, b * c with c = top - b, and one split x^s * x^r per distinct
-    # index met (s = 0 for restricted indices): the basis, through the
-    # form's degree, and the sums b + c, which are all the top index
+    # per row, b * c with c = top - b, and one split x^s * x^r of the one
+    # index the form meets: the sums b + c are all the top index, and the
+    # form's degree is read off the Gram rows
     gens = ext.ambient.generator_indices
     proof_pairs = Counter(itertools.product(gens, repeat=2))
     gram_pairs = Counter((b, tuple(ell - 1 - e for e in b)) for b in basis)
-    split_pairs = Counter(
-        (tuple(e - e % ell for e in idx), tuple(e % ell for e in idx)) for idx in basis
-    )
-    assert len(calls) == n**2 + len(basis) + len(basis)
-    assert Counter(calls) == proof_pairs + gram_pairs + split_pairs
+    top = ext.engine.top_slot()
+    assert len(calls) == n**2 + len(basis) + 1 == 14
+    assert Counter(calls) == proof_pairs + gram_pairs + Counter([((0,) * n, top)])
     # repeat consumers read the same system
     del calls[:]
     assert verify_frobenius(ext).gram_status == cert.gram_status
@@ -227,14 +239,13 @@ def test_reduce_at_point_makes_one_product_per_entry():
     for first, second in ((reduce, verify_frobenius), (verify_frobenius, reduce)):
         ext, calls = counted_extension(n, ell, 7)
         rank = len(ext.basis)
-        # n^2 proof products, one Gram product per row, and one split per
-        # distinct index: the top index b + c, then the rest of the basis
-        # when the form's degree is measured
-        splits = 1 if first is reduce else rank
+        # n^2 proof products, one Gram product per row, and one split of
+        # the one index the form meets, the top index b + c; the form's
+        # degree is read off the Gram rows
         first(ext)
-        assert len(calls) == n**2 + rank + splits
+        assert len(calls) == n**2 + rank + 1
         second(ext)
-        assert len(calls) == n**2 + rank + rank
+        assert len(calls) == n**2 + rank + 1 == 14
         del calls[:]
         assert reduce(ext).nondegenerate
         assert verify_frobenius(ext).verdict == "frobenius"
@@ -281,7 +292,7 @@ def test_gram_and_reduction_tables_match_word_oracle():
         point = tuple(rng.randrange(p) for _ in range(n))
         # a reduction that builds the Gram system and one that reads it
         red_fresh = reduce_at_point(ext, point)
-        M = dense_rows(gram_matrix(ext), alg.zero())
+        M = dense_rows(gram_matrix(ext), Element(alg.field))
         red = reduce_at_point(ext, point)
         assert red_fresh.pairing == red.pairing
         assert all(v for row in red.pairing for v in row.values())
@@ -294,7 +305,7 @@ def test_gram_and_reduction_tables_match_word_oracle():
                 s = tuple(x - x % ell for x in e)
                 k_split, _ = qas_product_oracle(C, ell, s, r)
                 coeff = fld.zeta_pow(k - k_split)  # x^b x^c = coeff * x^s x^r
-                expected = alg.monomial(s, coeff) if r == top else alg.zero()
+                expected = alg.monomial(s, coeff) if r == top else Element(alg.field)
                 assert M[i][j] == expected
                 value = coeff
                 for x, lam in zip(s, point):
@@ -318,7 +329,8 @@ def test_det_zero_row_is_singular():
     A = make_qas(1, 2, 5)
     ext = ell_centre_extension(A.algebra(), 2)
     alg = A.algebra()
-    M = sparse_rows([[alg.zero(), alg.zero()], [alg.monomial(alg.one), alg.zero()]])
+    zero = Element(alg.field)
+    M = sparse_rows([[zero, zero], [alg.monomial(alg.one), zero]])
     assert det_is_unit(M, ext).kind == "singular"
 
 
@@ -382,8 +394,7 @@ def test_sabotaged_slot_zero_form_is_refuted():
 
 def _zero_form_on_qas():
     ext = ell_centre_extension(make_qas(2, 3, 7).algebra(), 3)
-    zero = ext.ambient.zero()
-    return ext.with_form(lambda y: zero)
+    return ext.with_form(lambda y: {})
 
 
 def _constant_term_form_on_qweyl():
@@ -391,7 +402,7 @@ def _constant_term_form_on_qweyl():
     # constant term, so x has a right witness and no left one
     W = quantum_weyl(2)
     ext = ell_centre_extension(W, 2)
-    return ext.with_form(lambda y: W.monomial(W.one, y.terms.get(W.one, 0)))
+    return ext.with_form(lambda y: {W.one: y[W.one]} if W.one in y else {})
 
 
 @pytest.mark.parametrize(
@@ -426,13 +437,8 @@ def test_inhomogeneous_form_raises_in_graded_mode():
     ell = 2
     A = make_qas(1, ell, 5)
     ext = ell_centre_extension(A.algebra(), ell)
-    top, low = ProjectionForm(ext.engine, (1,)), ProjectionForm(ext.engine, (0,))
-
-    def mixed(y):
-        return top(y) + low(y)
-
     with pytest.raises(HomogeneityError):
-        verify_frobenius(ext.with_form(mixed))
+        verify_frobenius(ext.with_form(SlotSum(ext, {(1,): 1, (0,): 1})))
 
 
 def test_inhomogeneous_sabotage_is_refuted_in_filtered_view():
@@ -443,8 +449,7 @@ def test_inhomogeneous_sabotage_is_refuted_in_filtered_view():
     A = make_qas(1, ell, 31)
     alg = replace(A.algebra(), mode="filtered")
     ext = ell_centre_extension(alg, ell)
-    top, low = ProjectionForm(ext.engine, (1,)), ProjectionForm(ext.engine, (0,))
-    bad = ext.with_form(lambda y: top(y) + low(y))
+    bad = ext.with_form(SlotSum(ext, {(1,): 1, (0,): 1}))
     cert = verify_frobenius(bad)
     assert cert.verdict == "not-frobenius"
     assert cert.refutation["kind"] == "gram-not-unit"
@@ -509,9 +514,9 @@ def test_nakayama_quantum_plane_closed_form():
         images = [nak.images[name].terms for name in alg.generator_names]
         for b in ext.basis:
             for c in ext.basis:
-                lhs = ext.form(Element(fld, mul(b, c)))
+                lhs = ext.form(mul(b, c))
                 nu_c = extension_oracle(mul, fld.p, images, {c: 1})
-                rhs = ext.form(Element(fld, terms_product_oracle(mul, fld.p, nu_c, {b: 1})))
+                rhs = ext.form(terms_product_oracle(mul, fld.p, nu_c, {b: 1}))
                 assert lhs == rhs
 
 
@@ -727,9 +732,9 @@ def test_nakayama_inverts_scalar_gram_blocks_on_the_filtered_qweyl_algebra(ell):
     images = [nak.images[name].terms for name in W.generator_names]
     for b in E.basis:
         for c in E.basis:
-            lhs = E.form(Element(fld, mul(b, c)))
+            lhs = E.form(mul(b, c))
             nu_c = extension_oracle(mul, fld.p, images, {c: 1})
-            rhs = E.form(Element(fld, terms_product_oracle(mul, fld.p, nu_c, {b: 1})))
+            rhs = E.form(terms_product_oracle(mul, fld.p, nu_c, {b: 1}))
             assert lhs == rhs, (b, c)
     if ell == 3:
         assert nak.images == {"y": W.monomial((1, 0), 4), "x": W.monomial((0, 1), 2)}
@@ -845,10 +850,26 @@ def test_rank_169_gram_builds_one_element_per_nonzero_entry(monkeypatch):
     M = ext.gram()
     nonzero = sum(1 for row in M for z in row.values() if z)
     assert nonzero == sum(map(len, M)) == 169
-    # one element per nonzero entry and the one nonzero image Phi(x^t) (at
-    # the top slot t); the monomials x^t handed to the form are wrapped
-    # without a build
-    assert len(made) == nonzero + 1
+    # one element per nonzero entry; the form maps term dicts, so neither
+    # its inputs x^t nor its values build one
+    assert len(made) == nonzero == 169
+
+
+def test_rank_169_verification_calls_the_form_once(monkeypatch):
+    # the graded Gram build meets one index, b + (top - b) = top, and the
+    # form's degree is read off the Gram rows, Phi(b) = M[b][unit]
+    ext = ell_centre_extension(make_qas(2, 13).algebra(), 13)
+    evaluations = []
+    project = ProjectionForm.__call__
+
+    def form(self, y):
+        evaluations.append(y)
+        return project(self, y)
+
+    monkeypatch.setattr(ProjectionForm, "__call__", form)
+    cert = verify_frobenius(ext)
+    assert cert.verdict == "frobenius" and cert.phi_degree == GroupElement((-24,))
+    assert len(evaluations) == 1 and evaluations[0] == {(12, 12): 1}
 
 
 def test_rank_169_gram_build_evaluates_the_form_once_per_product_index():
@@ -874,7 +895,7 @@ def test_rank_169_gram_build_evaluates_the_form_once_per_product_index():
     M = ext.gram()
     assert len(products) == 169**2 and len(set(products)) == 169**2
     assert len(evaluations) == 25**2
-    assert {tuple(y.terms.items()) for y in evaluations} == {
+    assert {tuple(y.items()) for y in evaluations} == {
         (((a, b), 1),) for a in range(25) for b in range(25)
     }
     assert M == ell_centre_extension(A, 13).gram()
@@ -902,7 +923,7 @@ def test_rank_169_graded_gram_build_makes_one_product_per_row(monkeypatch):
     gram_products = [(b, tuple(12 - e for e in b)) for b in engine.basis]
     # the first entry's one term splits through x^0 * x^top
     assert products == gram_products[:1] + [((0, 0), top)] + gram_products[1:]
-    assert [tuple(y.terms.items()) for y in evaluations] == [((top, 1),)]
+    assert [tuple(y.items()) for y in evaluations] == [((top, 1),)]
     monkeypatch.undo()
     plain = ProjectionForm(engine, top)
     assert M == CentralFreeExtension(A, engine, lambda y: plain(y)).gram()
@@ -982,8 +1003,8 @@ def test_off_grade_generator_pair_keeps_the_full_gram_build():
         del calls[:]
         M = ext.gram()
         assert set(itertools.product(basis, repeat=2)) <= set(calls)
-        assert dense_rows(M, A.zero()) == [
-            [ext.form(Element(A.field, mul(b, c))) for c in basis] for b in basis
+        assert dense_rows(M, Element(A.field)) == [
+            [Element(A.field, ext.form(mul(b, c))) for c in basis] for b in basis
         ]
         assert not M[basis.index((0, 1))][basis.index((1, 0))].is_zero()
 
@@ -1010,7 +1031,7 @@ def test_graded_gram_matches_word_oracle_on_every_slot(shape, seed, data):
     for slot in ext.basis:
         M = ext.with_form(ProjectionForm(ext.engine, slot)).gram()
         got = [[{tuple(e // ell for e in s): v for s, v in el.terms.items()} for el in row]
-               for row in dense_rows(M, A.algebra().zero())]
+               for row in dense_rows(M, Element(A.algebra().field))]
         exact = qas_gram_oracle(C, ell, A.field.zeta, A.field.p, {slot: 1})
         assert got == exact, slot
         assert_rows_store_the_nonzero_pattern(M, exact)
@@ -1070,7 +1091,7 @@ def _rees_engine():
 )
 def test_projection_agrees_with_decomposition(build):
     engine, index = build()
-    zero = engine.algebra.zero()
+    zero = Element(engine.algebra.field)
     rng = random.Random(17)
     for _ in range(30):
         slots = rng.sample(engine.basis, rng.randrange(1, 4))
@@ -1079,16 +1100,22 @@ def test_projection_agrees_with_decomposition(build):
         y = Element(engine.algebra.field, terms)
         dec = engine.decompose(y)
         for slot in engine.basis:
-            assert ProjectionForm(engine, slot)(y) == dec.get(slot, zero)
+            assert ProjectionForm(engine, slot)(y.terms) == dec.get(slot, zero).terms
 
 
-def test_projection_off_its_slot_is_the_form_zero():
+def test_projection_maps_reduced_terms_to_reduced_terms():
+    # off the slot, and on no terms, the value is the empty dict; on the
+    # slot each term c * x^(s + slot) becomes c / c' on s, in [1, p)
     A = make_qas(2, 3, 7).algebra()
     form = ell_centre_extension(A, 3).form  # slot (2, 2)
-    assert form(Element(A.field, A.mul_indices((1, 0), (0, 1)))) is form.zero
-    assert form(A.zero()) is form.zero
-    on_slot = form(Element(A.field, A.mul_indices((2, 1), (3, 1))))
-    assert on_slot and on_slot is not form.zero
+    assert form(A.mul_indices((1, 0), (0, 1))) == {} and form({}) == {}
+    rng = random.Random(5)
+    for _ in range(30):
+        terms = {(3 * rng.randrange(3) + 2, 3 * rng.randrange(3) + 2): rng.randrange(1, 7)
+                 for _ in range(4)}
+        value = form(terms)
+        assert len(value) == len(terms) and all(0 < v < 7 for v in value.values())
+        assert value == form.engine.decompose(Element(A.field, terms))[(2, 2)].terms
 
 
 # ---------------------------------------------------------------------------
@@ -1104,15 +1131,14 @@ def test_dual_basis_kronecker_and_degrees():
     duals = [ProjectionForm(ext.engine, b) for b in ext.basis]
     for i, b in enumerate(ext.basis):
         for j, c in enumerate(ext.basis):
-            val = duals[i](alg.monomial(c))
-            assert val == (alg.monomial(alg.one) if i == j else alg.zero())
+            assert duals[i]({c: 1}) == ({alg.one: 1} if i == j else {})
         assert mapping_degree(ext.with_form(duals[i])) == -alg.degree_of(b)
     # S-linearity: phi_i(s * b_j) = s * delta_ij for a central monomial s
     s = alg.monomial((ell, 0))
     for i in range(len(duals)):
         for j, c in enumerate(ext.basis):
-            val = duals[i](multiply(alg, s, alg.monomial(c)))
-            assert val == (s if i == j else alg.zero())
+            val = duals[i](multiply(alg, s, alg.monomial(c)).terms)
+            assert val == (s.terms if i == j else {})
 
 
 # ---------------------------------------------------------------------------
@@ -1193,6 +1219,18 @@ def test_lift_form_rejects_opaque_forms():
     filtered = ell_centre_extension(W, ell)
     with pytest.raises(UnsupportedStructure):
         lift_form(filtered, opaque)
+
+
+def test_lift_form_refuses_a_filtered_target_and_a_non_frobenius_form():
+    ell = 2
+    W = quantum_weyl(ell, 5)
+    graded = ell_centre_extension(quantum_plane_of_weyl(W).algebra(), ell)
+    filtered = ell_centre_extension(W, ell)
+    with pytest.raises(DomainError, match="^second argument must be a graded extension$"):
+        lift_form(filtered, filtered)
+    slot_zero = graded.with_form(ProjectionForm(graded.engine, (0, 0)))
+    with pytest.raises(DomainError, match="^graded extension is not-frobenius; nothing to lift$"):
+        lift_form(filtered, slot_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,7 +1435,7 @@ def test_graded_and_filtered_verdicts_agree_on_every_slot(ell):
             exact = [
                 [{(a // ell, b // ell, g - a - b): v for ((a, b), g), v in el.terms.items()}
                  for el in row]
-                for row in dense_rows(R.gram(), R.ambient.zero())
+                for row in dense_rows(R.gram(), Element(R.ambient.field))
             ]
             unit = is_unit_oracle(det_over_s_oracle(exact, p, 3), 3)
             assert unit == (r.gram_status.kind == "unit-determinant"), (slot, r)
@@ -1418,8 +1456,7 @@ def test_zero_degree_subring_generator_gives_non_scalar_determinant():
     ell = 3
     A = make_qas(2, ell, degrees=(GroupElement((1,)), GroupElement((0,))))
     ext = ell_centre_extension(A.algebra(), ell)
-    top, side = ProjectionForm(ext.engine, (2, 2)), ProjectionForm(ext.engine, (2, 1))
-    bad = ext.with_form(lambda y: top(y) + side(y))
+    bad = ext.with_form(SlotSum(ext, {(2, 2): 1, (2, 1): 1}))
     cert = verify_frobenius(bad)
     assert cert.verdict == "not-frobenius"
     assert cert.gram_status.kind == "singular"
@@ -1430,20 +1467,6 @@ def test_zero_degree_subring_generator_gives_non_scalar_determinant():
         if not reduce_at_point(bad, lam).nondegenerate
     ]
     assert degenerate and len(degenerate) < p * p
-
-
-class SlotSum:
-    """Phi = sum over r of weights[r] * (projection onto slot r)."""
-
-    def __init__(self, ext, weights):
-        self.slots = [(ProjectionForm(ext.engine, r), w) for r, w in weights.items()]
-        self.zero = ext.ambient.zero()
-
-    def __call__(self, y):
-        total = self.zero
-        for proj, w in self.slots:
-            total = total + w * proj(y)
-        return total
 
 
 @pytest.mark.parametrize("ell", [2, 3])
@@ -1460,7 +1483,7 @@ def test_qweyl_slot_gram_matrices_match_word_oracle(ell):
     for weights in [{slot: 1} for slot in E.basis] + [every, cancel]:
         M = gram_matrix(E.with_form(SlotSum(E, weights)))
         got = [[{(a // ell, b // ell): v for (a, b), v in el.terms.items()} for el in row]
-               for row in dense_rows(M, W.zero())]
+               for row in dense_rows(M, Element(W.field))]
         exact = qweyl_gram_oracle(W.field, ell, weights)
         assert got == exact, weights
         assert_rows_store_the_nonzero_pattern(M, exact)
@@ -1503,7 +1526,7 @@ def test_det_is_unit_agrees_with_exact_oracle(shape, dim, data):
     M = gram_matrix(ext)
     exact = qas_gram_oracle(C, ell, A.field.zeta, p, weights)
     assert [[{tuple(e // ell for e in s): v for s, v in el.terms.items()} for el in row]
-            for row in dense_rows(M, A.algebra().zero())] == exact
+            for row in dense_rows(M, Element(A.algebra().field))] == exact
     assert_rows_store_the_nonzero_pattern(M, exact)
     status = det_is_unit(M, ext)
     event(f"{status.kind} via {status.method}")
@@ -1529,18 +1552,18 @@ def matrices_over_s(draw):
     monomial = st.tuples(*[st.integers(0, 1)] * n)
     poly = st.dictionaries(monomial, st.integers(1, p - 1), max_size=2).map(
         lambda terms: sum((alg.monomial(tuple(2 * e for e in s), v) for s, v in terms.items()),
-                          alg.zero())
+                          Element(alg.field))
     )
     unimodular = draw(st.booleans())
     if unimodular:
-        M = [[alg.monomial((0,) * n, draw(st.integers(1, p - 1))) if i == j else alg.zero()
+        M = [[alg.monomial((0,) * n, draw(st.integers(1, p - 1))) if i == j else Element(alg.field)
               for j in range(k)] for i in range(k)]
         for _ in range(draw(st.integers(1, 4))):
             i, j = draw(st.sampled_from([(i, j) for i in range(k) for j in range(k) if i != j]))
             f = draw(poly)
             M[i] = [x + multiply(alg, f, y) for x, y in zip(M[i], M[j])]
     else:
-        entry = st.one_of(st.just(alg.zero()), poly)
+        entry = st.one_of(st.just(Element(alg.field)), poly)
         M = [[draw(entry) for _ in range(k)] for _ in range(k)]
     return p, n, M, unimodular
 
@@ -1550,7 +1573,7 @@ def _upper_triangular_z4():
     alg = make_qas(1, 2, 5).algebra()
     z, one = alg.monomial((2,)), alg.monomial(alg.one)
     above = [[one, one + z, 2 * z], [one + 3 * z, one], [4 * one]]
-    return [[z if i == j else above[i][j - i - 1] if j > i else alg.zero() for j in range(4)]
+    return [[z if i == j else above[i][j - i - 1] if j > i else Element(alg.field) for j in range(4)]
             for i in range(4)]
 
 
@@ -1559,7 +1582,7 @@ def _zero_that_fills_in():
     # M[1][0] and M[0][1] are nonzero, and a skip of it would leave a zero
     # pivot with no row to swap in
     alg = make_qas(1, 2, 5).algebra()
-    z, one, zero = alg.monomial((2,)), alg.monomial(alg.one), alg.zero()
+    z, one, zero = alg.monomial((2,)), alg.monomial(alg.one), Element(alg.field)
     return [[one + z, one, z], [one, zero, zero], [z, zero, one]]
 
 
@@ -1567,7 +1590,7 @@ def _non_square_blocks():
     # no zero row or column, and the pattern splits into a 2x1 and a 1x2
     # block, so det M is 0
     alg = make_qas(1, 2, 5).algebra()
-    z, one, zero = alg.monomial((2,)), alg.monomial(alg.one), alg.zero()
+    z, one, zero = alg.monomial((2,)), alg.monomial(alg.one), Element(alg.field)
     return [[z, zero, zero], [one, zero, zero], [zero, one, z]]
 
 

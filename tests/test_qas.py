@@ -235,12 +235,12 @@ def test_projection_split_failures_are_not_memoized():
         for form in (ProjectionForm(engine, (1, 1)), ProjectionForm(engine, (0, 0))):
             for _ in range(2):
                 with pytest.raises(DomainError, match="does not split"):
-                    form(y)
+                    form(y.terms)
         with pytest.raises(DomainError, match="does not split"):
             engine.split((4, 1))
         broken[0] = False
         assert engine.split((4, 1)) == ((1, 1), (3, 0), 1)
-        assert ProjectionForm(engine, (1, 1))(y) == A.monomial((3, 0)) + A.monomial(A.one)
+        assert ProjectionForm(engine, (1, 1))(y.terms) == {(3, 0): 1, A.one: 1}
 
 
 def test_frobenius_form_examples():
@@ -249,13 +249,13 @@ def test_frobenius_form_examples():
     alg = A.algebra()
     form = ell_centre_extension(alg, ell).form
     top = (ell - 1,) * n
-    assert form(alg.monomial(top)) == alg.monomial(alg.one)
+    assert form({top: 1}) == {alg.one: 1}
     for a in itertools.product(range(ell), repeat=n):
         if a != top:
-            assert form(alg.monomial(a)).is_zero()
+            assert form({a: 1}) == {}
     # slot ell-1 with a central shift: x1^(2*ell-1) x2^(ell-1)
-    val = form(alg.monomial((2 * ell - 1, ell - 1)))
-    (idx, _), = val.terms.items()
+    val = form({(2 * ell - 1, ell - 1): 1})
+    (idx, _), = val.items()
     assert idx == (ell, 0)
 
 
@@ -269,11 +269,11 @@ def test_frobenius_form_homogeneity():
     rng = random.Random(2)
     for _ in range(30):
         e = tuple(rng.randrange(0, 3 * ell) for _ in range(2))
-        val = form(alg.monomial(e))
-        if not val.is_zero():
+        val = form({e: 1})
+        if val:
             from frobex.algcore import filtered_degree
 
-            assert filtered_degree(alg, val) == alg.degree_of(e) + shift
+            assert filtered_degree(alg, Element(alg.field, val)) == alg.degree_of(e) + shift
 
 
 def test_restricted_basis_count():
@@ -295,9 +295,9 @@ def test_f1_witness_property_exhaustive():
         form = ell_centre_extension(alg, ell).form
         for a in itertools.product(range(ell), repeat=n):
             c = tuple(ell - 1 - e for e in a)
-            left = form(multiply(alg, alg.monomial(a), alg.monomial(c)))
-            right = form(multiply(alg, alg.monomial(c), alg.monomial(a)))
-            assert not left.is_zero() and not right.is_zero()
+            left = form(multiply(alg, alg.monomial(a), alg.monomial(c)).terms)
+            right = form(multiply(alg, alg.monomial(c), alg.monomial(a)).terms)
+            assert left and right
 
 
 def test_ell_centre_commutativity():
